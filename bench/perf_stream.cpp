@@ -10,7 +10,6 @@
 #include <map>
 #include <sstream>
 
-#include "dist/router.h"
 #include "flow/od_aggregator.h"
 #include "linalg/simd.h"
 #include "net/topology.h"
@@ -195,67 +194,6 @@ void bm_stream_ingest_wide(benchmark::State& state) {
     state.counters["state_mb"] = state_mb;
 }
 BENCHMARK(bm_stream_ingest_wide)->Arg(64)->Arg(180)
-    ->Unit(benchmark::kMillisecond);
-
-// Distributed ingest on a 64-PoP synthetic backbone (4096 ODs — the
-// ISP-scale shape for the transport, test-sized record volume): the
-// same end-to-end pipeline, but the open bin is sharded across forked
-// worker processes behind the loopback router. Arg is the worker
-// count; workers=1 against bm_stream_ingest isolates the codec +
-// TCP + barrier-merge overhead, and the 2/4 points show how the
-// transport scales with the fleet.
-void bm_dist_ingest(benchmark::State& state) {
-    static const auto& topo = [] () -> const net::topology& {
-        static const auto t = net::topology::synthetic(64);
-        return t;
-    }();
-    static const auto bytes = [&] {
-        traffic::background_options bopts;
-        bopts.mean_records_per_bin = 6;  // 4096 ODs: keep the stream CI-sized
-        const traffic::background_model bg(topo, bopts);
-        std::vector<flow::flow_record> all;
-        for (std::size_t bin = 0; bin < 8; ++bin)
-            for (int od = 0; od < topo.od_count(); ++od) {
-                const auto cell = bg.generate(bin, od);
-                all.insert(all.end(), cell.begin(), cell.end());
-            }
-        return std::make_pair(stream::encode_records(all), all.size());
-    }();
-    stream::pipeline_options opts;
-    opts.shards = 1;
-    opts.online.window = 16;
-    // Warmup past the stream length: this benchmark isolates the
-    // transport + barrier cost (the bins still flow through the
-    // detector's window); bm_stream_ingest_wide/64 measures the same
-    // shape with refits.
-    opts.online.warmup = 16;
-    opts.online.subspace.normal_dims = 2;
-    // The router needs the fingerprint before the real pipeline exists;
-    // the options are fixed, so read it once outside the timed loop.
-    const std::uint64_t fp =
-        stream::stream_pipeline(topo, opts).config_fingerprint();
-    std::uint64_t frames_routed = 0;
-    for (auto _ : state) {
-        dist::router_options dopts;
-        dopts.workers = static_cast<std::uint32_t>(state.range(0));
-        dist::shard_router router(topo.od_count(), fp, dopts);
-        opts.dist = &router;
-        stream::stream_pipeline pipeline(topo, opts);
-        std::istringstream in(
-            std::string(reinterpret_cast<const char*>(bytes.first.data()),
-                        bytes.first.size()));
-        stream::flow_codec_reader reader(in);
-        pipeline.run(reader);
-        benchmark::DoNotOptimize(pipeline.metrics().bins_emitted);
-        frames_routed += router.counters().frames_routed;
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<int64_t>(bytes.second));
-    state.counters["frames_routed"] =
-        static_cast<double>(frames_routed) /
-        static_cast<double>(state.iterations());
-}
-BENCHMARK(bm_dist_ingest)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
 // The same end-to-end ingest with the full observability harness wired

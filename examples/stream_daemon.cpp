@@ -10,7 +10,6 @@
 // and every stage reports its operational counters at the end.
 //
 // Usage: stream_daemon [bins] [packets_per_pop_per_bin] [shards]
-//          [--workers=N]
 //          [--checkpoint-dir=DIR] [--checkpoint-every-bins=N]
 //          [--checkpoint-keep=N] [--checkpoint-keep-hours=H] [--resume]
 //          [--on-corrupt=fail-fast|quarantine]
@@ -61,20 +60,12 @@
 // --watchdog-secs, up to --max-restarts times. --crash-after-bins=N
 // makes the first worker attempt kill itself after N bins (test hook
 // for the recovery path).
-//
-// Distributed operation: --workers=N forks N OD-shard worker processes
-// (src/dist) and routes every resolved batch to them over loopback
-// TCP; each bin close is a collect-and-merge barrier whose output is
-// bit-identical to the in-process path. Crashed workers are respawned
-// and replayed transparently — each recovery emits a worker_restarted
-// event and bumps tfd_dist_worker_restarts_total; fleet liveness is
-// the tfd_dist_workers_alive gauge (also in /healthz). Incompatible
-// with --checkpoint-dir / --supervise: the open bin lives in the
-// workers, which keep their own durable state.
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <csignal>
@@ -91,7 +82,6 @@
 #include <thread>
 #include <vector>
 
-#include "dist/router.h"
 #include "flow/anonymizer.h"
 #include "flow/flow_capture.h"
 #include "io/fault.h"
@@ -136,7 +126,6 @@ struct daemon_config {
     std::size_t drift_relearn_bins = 0;  ///< 0 = drift monitor off
     int metrics_port = -1;     ///< -1 disabled, 0 ephemeral, else fixed
     std::size_t serve_secs = 0;  ///< keep the endpoint up after the drain
-    std::size_t dist_workers = 0;  ///< 0 = in-process; N = shard workers
 };
 
 // Synthesize raw packets seen at one ingress PoP during one 5-minute bin.
@@ -288,55 +277,7 @@ int run_worker(const daemon_config& cfg, std::size_t attempt) {
     }
     popts.timers = &timers;
 
-    // --- distributed fleet (optional) -----------------------------------
-    // The router forks its workers HERE — before the pipeline (whose
-    // threads must not be duplicated into fresh children) and before the
-    // HTTP endpoint. The restart hook runs on the ingest thread, so it
-    // may touch the bridge emitter and pipeline metrics; both pointers
-    // are filled in right after those objects exist below.
-    obs::pipeline_bridge* bridge_ptr = nullptr;
-    const stream::stream_pipeline* pipeline_ptr = nullptr;
-    obs::gauge* workers_alive = nullptr;
-    std::optional<dist::shard_router> router;
-    if (cfg.dist_workers > 0) {
-        popts.shards = 1;  // the open bin lives in the worker processes
-        const std::uint64_t fp =
-            stream::stream_pipeline(topo, popts).config_fingerprint();
-        dist::router_options dopts;
-        dopts.workers = static_cast<std::uint32_t>(cfg.dist_workers);
-        workers_alive = &registry.get_gauge(
-            "tfd_dist_workers_alive",
-            "Connected dist shard worker processes");
-        dopts.workers_alive = workers_alive;
-        dopts.worker_restarts_total = &registry.get_counter(
-            "tfd_dist_worker_restarts_total",
-            "Dist shard worker respawns (crash recovery)");
-        dopts.on_worker_restart =
-            [&bridge_ptr, &pipeline_ptr](const dist::worker_restart_info& i) {
-                if (bridge_ptr == nullptr) return;
-                obs::worker_restarted_data d;
-                d.worker = i.worker_id;
-                d.restarts = i.restarts;
-                d.resume_seq = i.resume_seq;
-                d.replayed = i.replayed;
-                bridge_ptr->emitter().emit(
-                    pipeline_ptr ? pipeline_ptr->metrics().bins_emitted : 0,
-                    obs::event_data(d));
-            };
-        try {
-            router.emplace(topo.od_count(), fp, std::move(dopts));
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "stream_daemon: --workers: %s\n", e.what());
-            return 2;
-        }
-        popts.dist = &*router;
-        std::printf("dist: %zu shard workers forked (od %% %zu routing, "
-                    "loopback session %016" PRIx64 ")\n\n",
-                    cfg.dist_workers, cfg.dist_workers, router->session());
-    }
-
     stream::stream_pipeline pipeline(topo, popts);
-    pipeline_ptr = &pipeline;
 
     obs::bridge_options bopts;
     bopts.sink = &event_tee;
@@ -344,7 +285,6 @@ int run_worker(const daemon_config& cfg, std::size_t attempt) {
     bopts.alerts = &alerts;
     bopts.topology = &topo;
     obs::pipeline_bridge bridge(pipeline, bopts);
-    bridge_ptr = &bridge;
 
     // --- checkpoint/restore wiring --------------------------------------
     io::fault_injector ckpt_faults(
@@ -400,22 +340,7 @@ int run_worker(const daemon_config& cfg, std::size_t attempt) {
         hopts.registry = &registry;
         hopts.alerts = &alerts;
         hopts.recent_events = &recent_events;
-        hopts.healthz = [&bridge, &router, workers_alive] {
-            std::string j = bridge.healthz_json();
-            if (router) {
-                // Splice the fleet liveness into the health snapshot;
-                // worker_count is immutable after construction and the
-                // gauge is a registry atomic, so this stays safe on the
-                // HTTP thread.
-                const std::string extra =
-                    ",\"workers\":" + std::to_string(router->worker_count()) +
-                    ",\"workers_alive\":" +
-                    std::to_string(
-                        static_cast<std::uint64_t>(workers_alive->value()));
-                j.insert(j.size() - 1, extra);
-            }
-            return j;
-        };
+        hopts.healthz = [&bridge] { return bridge.healthz_json(); };
         try {
             http.emplace(std::move(hopts));
         } catch (const std::system_error& e) {
@@ -529,12 +454,6 @@ int run_worker(const daemon_config& cfg, std::size_t attempt) {
         std::fprintf(stderr, "stream_daemon: checkpoint write failed: %s\n",
                      e.what());
         return 3;
-    } catch (const dist::dist_error& e) {
-        // An unrecoverable fleet failure (restart budget exhausted,
-        // handshake breakdown): typed exit, like a codec abort.
-        std::fprintf(stderr, "stream_daemon: dist fleet failed: %s\n",
-                     e.what());
-        return 3;
     }
 
     // Expose the post-drain state (quarantine folds, late drops past the
@@ -555,13 +474,6 @@ int run_worker(const daemon_config& cfg, std::size_t attempt) {
     if (m.records_dropped_bad_od > 0)
         std::printf("  bad-OD drops           : %" PRIu64 "\n",
                     m.records_dropped_bad_od);
-    if (router)
-        std::printf("  dist transport         : %" PRIu64
-                    " frames routed, %" PRIu64 " replayed, %" PRIu64
-                    " worker restarts\n",
-                    router->counters().frames_routed,
-                    router->counters().frames_replayed,
-                    router->counters().worker_restarts);
     std::printf("  bins emitted           : %" PRIu64 " (%" PRIu64
                 " empty, %" PRIu64 " anomalous)\n",
                 m.bins_emitted, m.empty_bins, m.anomalies);
@@ -699,9 +611,16 @@ int run_supervised(const daemon_config& cfg) {
 }
 
 bool parse_size(const char* v, std::size_t& out) {
+    // strtoull skips blanks, accepts a sign ("-1" wraps to 2^64 - 1)
+    // and reports overflow only through errno: insist on bare digits
+    // that fit.
+    if (!std::isdigit(static_cast<unsigned char>(*v))) return false;
+    errno = 0;
     char* end = nullptr;
-    out = std::strtoull(v, &end, 10);
-    return end != v && *end == '\0';
+    const unsigned long long n = std::strtoull(v, &end, 10);
+    if (errno == ERANGE || *end != '\0') return false;
+    out = n;
+    return true;
 }
 
 bool parse_rate(const char* v, double& out) {
@@ -715,7 +634,6 @@ bool parse_rate(const char* v, double& out) {
         stderr,
         "stream_daemon: %s\n"
         "usage: stream_daemon [bins] [packets_per_pop_per_bin] [shards]\n"
-        "  [--workers=N]\n"
         "  [--checkpoint-dir=DIR] [--checkpoint-every-bins=N]\n"
         "  [--checkpoint-keep=N] [--checkpoint-keep-hours=H] [--resume]\n"
         "  [--on-corrupt=fail-fast|quarantine]\n"
@@ -810,9 +728,6 @@ int main(int argc, char** argv) {
         } else if (value_of(arg, "--serve-secs=", &v)) {
             if (!parse_size(v, cfg.serve_secs))
                 usage_error("--serve-secs expects a number");
-        } else if (value_of(arg, "--workers=", &v)) {
-            if (!parse_size(v, cfg.dist_workers) || cfg.dist_workers == 0)
-                usage_error("--workers expects a worker count >= 1");
         } else if (arg.rfind("--", 0) == 0 || npos >= 3) {
             // A typo'd or space-separated flag must not be silently
             // swallowed as a positional zero (that would reconfigure
@@ -824,13 +739,6 @@ int main(int argc, char** argv) {
             ++npos;
         }
     }
-    if (cfg.dist_workers > 0 && cfg.supervise)
-        usage_error("--workers is incompatible with --supervise (the dist "
-                    "router already restarts crashed shard workers)");
-    if (cfg.dist_workers > 0 && !cfg.checkpoint_dir.empty())
-        usage_error("--workers is incompatible with --checkpoint-dir: the "
-                    "open bin lives in the shard workers, which keep their "
-                    "own durable state (see src/dist/README.md)");
     if (cfg.resume && cfg.checkpoint_dir.empty())
         usage_error("--resume requires --checkpoint-dir");
     if (cfg.supervise && cfg.checkpoint_dir.empty())

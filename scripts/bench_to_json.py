@@ -225,8 +225,10 @@ def main():
         doc["baseline"] = run
     if args.filter and "current" in doc:
         # A filtered run refreshes only the matching entries; the rest of
-        # the perf record stays instead of being silently dropped.
+        # the perf record stays instead of being silently dropped. The
+        # label and context describe the newest run, so both move.
         doc["current"]["label"] = run["label"]
+        doc["current"]["context"] = run["context"]
         doc["current"]["benchmarks"].update(run["benchmarks"])
     else:
         doc["current"] = run

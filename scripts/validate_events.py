@@ -63,9 +63,6 @@ REQUIRED = {
     "backpressure": {"blocked_pushes": U64, "queue_high_watermark": U64},
     "drift": {"ph": NUM, "alarm_rate": NUM, "relearn_bins": U64},
     "recalibrated": {"threshold": NUM, "bins_degraded": U64},
-    "worker_restarted": {
-        "worker": U64, "restarts": U64, "resume_seq": U64, "replayed": U64,
-    },
 }
 
 # Known additive fields: absent is fine, present must type-check.
@@ -189,10 +186,8 @@ def self_test():
         % (env % (3, 2)),
         '{%s,"type":"recalibrated","threshold":0.8,"bins_degraded":24}'
         % (env % (4, 3)),
-        '{%s,"type":"worker_restarted","worker":1,"restarts":2,'
-        '"resume_seq":40,"replayed":3}' % (env % (5, 4)),
         # Unknown type from a future producer: envelope-only check.
-        '{%s,"type":"frobnicated","whatever":1}' % (env % (6, 5)),
+        '{%s,"type":"frobnicated","whatever":1}' % (env % (5, 4)),
     ])
     errors, counts = validate_stream(io.StringIO(good), "<good>")
     assert errors == 0, f"good stream produced {errors} error(s)"

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -165,14 +164,7 @@ constexpr std::size_t kTridiagPanel = 16;
 constexpr std::size_t kTrailTile = 64;
 constexpr std::size_t kTridiagBlockedMinN = 128;
 
-tridiag_path detect_tridiag_path() noexcept {
-    if (const char* env = std::getenv("TFD_NO_BLOCKED_TRED");
-        env && env[0] != '\0' && env[0] != '0')
-        return tridiag_path::classic;
-    return tridiag_path::automatic;
-}
-
-tridiag_path g_tridiag_path = detect_tridiag_path();
+tridiag_path g_tridiag_path = tridiag_path::automatic;
 
 bool use_blocked_tridiag(std::size_t n) noexcept {
     switch (g_tridiag_path) {

@@ -81,7 +81,7 @@ partial_eigen_result symmetric_eigen_topk(const matrix& a, std::size_t k,
 /// (symmetric_eigen_topk, symmetric_eigenvalues) run.
 ///
 ///   automatic — blocked for n >= 128, classic below (the process
-///               default; TFD_NO_BLOCKED_TRED=1 pins classic instead)
+///               default)
 ///   classic   — the historical unblocked tred2 loop, bit-identical to
 ///               every pre-blocked release under a given kernel ISA
 ///   blocked   — panel reduction: per-panel rank-2 updates stay Level-2,
@@ -97,9 +97,9 @@ partial_eigen_result symmetric_eigen_topk(const matrix& a, std::size_t k,
 /// full-QL path (symmetric_eigen) always runs classic.
 enum class tridiag_path { automatic, classic, blocked };
 
-/// Process-wide tridiagonalization selection; `automatic` on startup
-/// (forced to `classic` when TFD_NO_BLOCKED_TRED is set). Not
-/// thread-safe against concurrent eigensolves; call from setup only.
+/// Process-wide tridiagonalization selection; `automatic` on startup.
+/// Not thread-safe against concurrent eigensolves; call from setup only
+/// (the parity tests use it to select the classic reference path).
 void set_tridiag_path(tridiag_path p) noexcept;
 tridiag_path get_tridiag_path() noexcept;
 

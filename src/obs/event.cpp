@@ -137,17 +137,6 @@ struct payload_writer {
         w.key("bins_degraded");
         w.value(d.bins_degraded);
     }
-
-    void operator()(const worker_restarted_data& d) {
-        w.key("worker");
-        w.value(d.worker);
-        w.key("restarts");
-        w.value(d.restarts);
-        w.key("resume_seq");
-        w.value(d.resume_seq);
-        w.key("replayed");
-        w.value(d.replayed);
-    }
 };
 
 }  // namespace
@@ -163,7 +152,6 @@ const char* event_type_name(event_type t) noexcept {
         case event_type::backpressure: return "backpressure";
         case event_type::drift: return "drift";
         case event_type::recalibrated: return "recalibrated";
-        case event_type::worker_restarted: return "worker_restarted";
     }
     return "unknown";
 }

@@ -46,7 +46,8 @@ enum class event_type : int {
     backpressure = 6,
     drift = 7,
     recalibrated = 8,
-    worker_restarted = 9,
+    // 9 is retired and never reused (src/obs/README.md). type_of()
+    // maps variant index to value, so a new type must map around it.
 };
 
 /// Wire name of an event type ("anomaly", "bin_closed", ...).
@@ -141,23 +142,11 @@ struct recalibrated_data {
     std::uint64_t bins_degraded = 0;  ///< bins spent in the degraded state
 };
 
-/// A dist shard worker crashed and was respawned (dist::shard_router
-/// recovery). New event type at v1. `replayed` counts the retained
-/// messages re-sent above the worker's resume floor — recovery is a
-/// replay, so detections stay bit-identical and this event is the only
-/// externally visible trace.
-struct worker_restarted_data {
-    std::uint64_t worker = 0;      ///< worker index in the fleet
-    std::uint64_t restarts = 0;    ///< lifetime restarts of this slot
-    std::uint64_t resume_seq = 0;  ///< replay floor granted on reconnect
-    std::uint64_t replayed = 0;    ///< messages replayed after the floor
-};
-
 using event_data =
     std::variant<anomaly_data, bin_closed_data, checkpoint_saved_data,
                  checkpoint_restored_data, quarantine_data,
                  time_base_reset_data, backpressure_data, drift_data,
-                 recalibrated_data, worker_restarted_data>;
+                 recalibrated_data>;
 
 /// One event. `seq` is assigned by the emitter (1-based, strictly
 /// increasing per process); `bin` is the pipeline bin the event

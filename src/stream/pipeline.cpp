@@ -59,22 +59,11 @@ stream_pipeline::stream_pipeline(const net::topology& topo,
     if (opts.reorder_window_bins > opts.max_gap_bins)
         throw std::invalid_argument(
             "stream_pipeline: reorder_window_bins must be <= max_gap_bins");
-    if (opts.dist && opts.reorder_window_bins > 0)
-        throw std::invalid_argument(
-            "stream_pipeline: a dist backend cannot be combined with "
-            "reorder_window_bins (the held-bin ring is in-process state)");
 }
 
 void stream_pipeline::emit_bin(od_shard_set& shards, std::size_t bin) {
     const std::uint64_t t0 = now_ns();
-    // With a dist backend the open bin's cells live in the worker
-    // processes; the barrier merge fills bin_statistics with exactly
-    // the bits the local harvest would have. (Reorder is excluded with
-    // dist, so `shards` here is always the cursor's shards_.)
-    if (opts_.dist)
-        opts_.dist->harvest(scratch_.stats);
-    else
-        shards.harvest(scratch_.stats);
+    shards.harvest(scratch_.stats);
     scratch_.stats.bin = bin;
     if (scratch_.stats.records == 0) ++metrics_.empty_bins;
     scratch_.verdict = detector_.push(scratch_.stats.snapshot);
@@ -313,24 +302,13 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
         resolver_.resolve_batch(run, od_scratch_, &metrics_.resolver_drops);
         metrics_.records_in += run.size();
         const std::span<const int> run_ods(od_scratch_.data(), run.size());
-        std::uint64_t got = 0;
-        if (opts_.dist && !straggler) {
-            dist_backend& d = *opts_.dist;
-            const std::uint64_t before = d.pending_records();
-            const std::uint64_t bad0 = d.records_dropped_bad_od();
-            d.accumulate(run, run_ods);
-            got = d.pending_records() - before;
-            metrics_.records_dropped_bad_od +=
-                d.records_dropped_bad_od() - bad0;
-        } else {
-            od_shard_set& target = straggler ? *straggler_set : shards_;
-            const std::uint64_t before = target.pending_records();
-            const std::uint64_t bad0 = target.records_dropped_bad_od();
-            target.accumulate(run, run_ods);
-            got = target.pending_records() - before;
-            metrics_.records_dropped_bad_od +=
-                target.records_dropped_bad_od() - bad0;
-        }
+        od_shard_set& target = straggler ? *straggler_set : shards_;
+        const std::uint64_t before = target.pending_records();
+        const std::uint64_t bad0 = target.records_dropped_bad_od();
+        target.accumulate(run, run_ods);
+        const std::uint64_t got = target.pending_records() - before;
+        metrics_.records_dropped_bad_od +=
+            target.records_dropped_bad_od() - bad0;
         metrics_.records_accumulated += got;
         if (straggler) metrics_.records_reordered += got;
         i = j;
@@ -496,11 +474,6 @@ std::uint64_t stream_pipeline::config_fingerprint() const {
 }
 
 void stream_pipeline::save_state(io::snapshot_writer& snap) const {
-    if (opts_.dist)
-        throw std::logic_error(
-            "stream_pipeline: save_state is not supported with a dist "
-            "backend — the open bin lives in the worker processes, "
-            "which checkpoint themselves (see src/dist/README.md)");
     {
         io::wire_writer w;
         w.varint(current_bin_);
@@ -547,10 +520,6 @@ void stream_pipeline::save_state(io::snapshot_writer& snap) const {
 }
 
 void stream_pipeline::restore_state(const io::snapshot_reader& snap) {
-    if (opts_.dist)
-        throw std::logic_error(
-            "stream_pipeline: restore_state is not supported with a "
-            "dist backend — the open bin lives in the worker processes");
     const auto expect_version = [&](std::uint32_t tag, std::uint16_t want,
                                     const char* name) {
         const std::uint16_t got = snap.section_version(tag);

@@ -177,38 +177,6 @@ private:
     std::uint64_t reuses_ = 0;
 };
 
-/// The process-distribution seam at the pipeline's accumulate/harvest
-/// boundary. The in-process path routes every resolved batch into its
-/// od_shard_set and harvests it at bin close; a dist backend receives
-/// exactly those two calls instead, forwarding batches to shard worker
-/// processes and running a bin-close barrier that merges their partial
-/// histograms back into one bin_statistics. The contract is strict
-/// bit-identity: for the same record stream, harvest() must fill `out`
-/// with the same bits od_shard_set::accumulate + harvest would have
-/// (dist::shard_router achieves this via the canonical OD-keyed cell
-/// wire layout and the exact empty-target histogram merge).
-class dist_backend {
-public:
-    virtual ~dist_backend() = default;
-
-    /// Mirror of od_shard_set::accumulate for the cursor's open bin:
-    /// ods[i] < 0 is skipped (resolver drop, counted upstream),
-    /// ods[i] >= od_count is dropped into records_dropped_bad_od().
-    virtual void accumulate(std::span<const flow::flow_record> records,
-                            std::span<const int> ods) = 0;
-
-    /// Bin-close barrier: collect every worker's partial state, merge,
-    /// fill `out` exactly as od_shard_set::harvest would, and reset for
-    /// the next bin (`out.bin` is left to the caller).
-    virtual void harvest(bin_statistics& out) = 0;
-
-    /// Records accepted into the open bin since the last harvest.
-    virtual std::uint64_t pending_records() const = 0;
-
-    /// Cumulative count of records offered with od >= od_count.
-    virtual std::uint64_t records_dropped_bad_od() const = 0;
-};
-
 /// Pipeline tuning.
 struct pipeline_options {
     std::size_t shards = 0;  ///< OD shards; 0 picks the thread pool size
@@ -243,16 +211,6 @@ struct pipeline_options {
     /// corresponding members when non-null. Observability-only — not
     /// part of the config fingerprint, never changes behaviour.
     obs::stage_timers* timers = nullptr;
-    /// Distribution seam: when set, the cursor's open bin accumulates
-    /// through this backend (worker processes) instead of the local
-    /// od_shard_set, and bin closes harvest from it. Not owned; must
-    /// outlive the pipeline. NOT part of the config fingerprint — the
-    /// backend contract is bit-identity with the in-process path, so
-    /// where the cells live is a deployment choice, not a semantic one.
-    /// Incompatible with reorder_window_bins > 0 (the held-bin ring is
-    /// in-process state) and with save_state() (the open bin lives in
-    /// the workers; they checkpoint themselves instead) — both throw.
-    dist_backend* dist = nullptr;
 };
 
 /// A lifecycle occurrence the on_lifecycle observer is told about —
@@ -283,7 +241,7 @@ struct pipeline_metrics {
     flow::drop_counts resolver_drops;       ///< per-reason resolve failures
     std::uint64_t late_records = 0;         ///< arrived after their bin closed
     /// Records carrying a positive out-of-range OD index (>= od_count),
-    /// dropped by the shard set / dist backend. The resolver never
+    /// dropped by the shard set. The resolver never
     /// emits these, so nonzero means a broken producer — but they are
     /// counted, not silently lost: the conservation invariant is
     /// records_in == records_accumulated + late_records +

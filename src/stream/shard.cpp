@@ -129,51 +129,4 @@ void od_shard_set::load(io::wire_reader& r) {
     pending_records_ = pending;
 }
 
-void od_shard_set::clear() {
-    for (auto& s : shards_)
-        for (auto& cell : s.cells) cell.clear();
-    pending_records_ = 0;
-}
-
-void od_shard_set::merge_saved(io::wire_reader& r) {
-    if (r.varint() != static_cast<std::uint64_t>(od_count_))
-        r.fail("od_shard_set: od_count mismatch");
-    pending_records_ += r.varint();
-    const std::uint64_t nonempty = r.varint();
-    if (nonempty > static_cast<std::uint64_t>(od_count_))
-        r.fail("od_shard_set: implausible cell count");
-    std::int64_t prev_od = -1;
-    core::feature_histogram_set incoming;
-    for (std::uint64_t i = 0; i < nonempty; ++i) {
-        const auto od = static_cast<std::int64_t>(r.varint());
-        if (od <= prev_od || od >= od_count_)
-            r.fail("od_shard_set: cell OD out of order or range");
-        prev_od = od;
-        auto& cell = shards_[shard_of(static_cast<int>(od))]
-                         .cells[static_cast<std::size_t>(od) / shards_.size()];
-        if (cell.total_records() == 0) {
-            // The disjoint-partition fast path: deserializing straight
-            // into the empty cell is the bit-exact degenerate merge.
-            cell.load(r);
-        } else {
-            incoming.load(r);
-            cell.merge(incoming);
-        }
-    }
-}
-
-core::feature_histogram_set od_shard_set::merged_cell(int od) const {
-    if (od < 0 || od >= od_count_)
-        throw std::out_of_range("od_shard_set: od out of range");
-    // With OD partitioning exactly one shard holds this cell (the
-    // compact layout reuses local slot od/S for a different OD in every
-    // other shard), so the merge has a single contributor — the exact
-    // empty-target copy. A future split-state layout (multi-process
-    // sharding) would merge one such set per shard instance instead.
-    core::feature_histogram_set out;
-    out.merge(shards_[shard_of(od)]
-                  .cells[static_cast<std::size_t>(od) / shards_.size()]);
-    return out;
-}
-
 }  // namespace tfd::stream

@@ -1,4 +1,4 @@
-// tfd::stream — hash-partitioned OD shard workers.
+// tfd::stream — hash-partitioned, thread-parallel OD shards.
 //
 // ROADMAP names sharded OD aggregation as the scaling step after the
 // kernel layer went parallel: histogram accumulation is the last
@@ -15,15 +15,10 @@
 //   * Within a shard, records are accumulated serially in input order,
 //     so the sequence of histogram updates per (OD, feature) cell is
 //     identical to the single-threaded path.
-//   * Harvest reads each cell from its owning shard (the degenerate,
-//     exact form of merge — feature_histogram::merge into an empty
-//     target preserves state bit for bit), so entropies, byte and
-//     packet counts are bit-identical to the batch path for any shard
-//     count. Parallelism only changes wall-clock.
-//
-// merged_cell() exposes the general N-way histogram merge for layers
-// (multi-process sharding, checkpoint recovery) where one OD's state
-// may genuinely be split across shard instances.
+//   * Harvest reads each cell from its owning shard, the only one that
+//     ever holds that OD's state, so entropies, byte and packet counts
+//     are bit-identical to the batch path for any shard count.
+//     Parallelism only changes wall-clock.
 #pragma once
 
 #include <array>
@@ -92,19 +87,6 @@ public:
         return dropped_bad_od_;
     }
 
-    /// Reset the open bin: clear every cell and the pending-record
-    /// count without harvesting (the cumulative bad-OD counter is
-    /// untouched). A distributed worker uses this after shipping its
-    /// partial at a bin-close barrier.
-    void clear();
-
-    /// The merged histograms of one OD cell in the current bin. With
-    /// OD-partitioned shards exactly one shard contributes, so this is
-    /// a bit-exact copy of its state (merge into an empty target);
-    /// split-state layouts would call feature_histogram_set::merge once
-    /// per contributing shard instance.
-    core::feature_histogram_set merged_cell(int od) const;
-
     /// Snapshot hook: the open (un-harvested) bin's state — pending
     /// record count plus every non-empty cell, keyed by OD index in
     /// ascending order. The layout is shard-count independent (cells
@@ -117,17 +99,6 @@ public:
     /// bin replaced). Throws io::wire_error on truncation, an OD-count
     /// mismatch, or out-of-order/out-of-range OD keys.
     void load(io::wire_reader& r);
-
-    /// Merge save() output from another set INTO the current bin
-    /// instead of replacing it: each serialized cell is merged into the
-    /// local cell of the same OD and the pending-record counts add.
-    /// When the local cell is empty — always true under disjoint OD
-    /// partitions, e.g. collecting per-worker residue slices — the
-    /// result is a bit-exact copy of the serialized state, so a
-    /// collector that merges every worker's partial harvests exactly
-    /// what one in-process set accumulating the same records would.
-    /// Same failure modes as load().
-    void merge_saved(io::wire_reader& r);
 
 private:
     struct shard {

@@ -86,27 +86,6 @@ TEST(OdShardSetTest, HarvestResetsCells) {
             EXPECT_EQ(stats.snapshot.entropies[f][od], 0.0);
 }
 
-TEST(OdShardSetTest, MergedCellMatchesReference) {
-    const auto topo = net::topology::abilene();
-    const traffic::background_model bg(topo);
-    od_shard_set set(topo.od_count(), 4);
-    const auto s = bin_stream(bg, 7);
-    set.accumulate(s.records, s.ods);
-
-    const int od = 40;
-    core::feature_histogram_set ref;
-    ref.add_records(bg.generate(7, od));
-    const auto cell = set.merged_cell(od);
-    EXPECT_EQ(cell.total_packets(), ref.total_packets());
-    EXPECT_EQ(cell.total_bytes(), ref.total_bytes());
-    EXPECT_EQ(cell.total_records(), ref.total_records());
-    for (int f = 0; f < flow::feature_count; ++f) {
-        const auto feat = static_cast<flow::feature>(f);
-        EXPECT_EQ(cell[feat].entropy_bits(), ref[feat].entropy_bits());
-        EXPECT_EQ(cell[feat].distinct(), ref[feat].distinct());
-    }
-}
-
 TEST(OdShardSetTest, SkipsUnresolvedRecords) {
     const auto topo = net::topology::abilene();
     od_shard_set set(topo.od_count(), 2);
@@ -144,73 +123,10 @@ TEST(OdShardSetTest, CountsBadOdDropsDistinctFromResolverDrops) {
     EXPECT_EQ(set.records_dropped_bad_od(), 4u);
 }
 
-TEST(OdShardSetTest, ClearResetsOpenBinOnly) {
-    const auto topo = net::topology::abilene();
-    od_shard_set set(topo.od_count(), 2);
-    std::vector<flow::flow_record> records(2);
-    for (auto& r : records) r.packets = 1;
-    const std::vector<int> ods = {3, topo.od_count()};
-    set.accumulate(records, ods);
-    EXPECT_EQ(set.pending_records(), 1u);
-    set.clear();
-    EXPECT_EQ(set.pending_records(), 0u);
-    EXPECT_EQ(set.records_dropped_bad_od(), 1u);  // cumulative survives
-    bin_statistics stats;
-    set.harvest(stats);
-    EXPECT_EQ(stats.records, 0u);
-    EXPECT_EQ(stats.packets[3], 0.0);
-}
-
-// merge_saved is the distributed collector's merge: partials from
-// disjoint OD slices must reassemble into exactly the state one set
-// accumulating everything would hold.
-TEST(OdShardSetTest, MergeSavedReassemblesDisjointPartialsBitExactly) {
-    const auto topo = net::topology::abilene();
-    const traffic::background_model bg(topo);
-    const auto s = bin_stream(bg, 0);
-
-    od_shard_set reference(topo.od_count(), 1);
-    reference.accumulate(s.records, s.ods);
-
-    // Two "workers", each owning an OD-residue slice.
-    const int workers = 2;
-    std::vector<od_shard_set> partials;
-    for (int w = 0; w < workers; ++w)
-        partials.emplace_back(topo.od_count(), 1);
-    for (std::size_t i = 0; i < s.records.size(); ++i) {
-        const std::span<const flow::flow_record> one(&s.records[i], 1);
-        const std::span<const int> od(&s.ods[i], 1);
-        partials[static_cast<std::size_t>(s.ods[i]) % workers].accumulate(one,
-                                                                          od);
-    }
-
-    od_shard_set collector(topo.od_count(), 1);
-    for (int w = 0; w < workers; ++w) {
-        io::wire_writer ww;
-        partials[w].save(ww);
-        io::wire_reader rr(ww.data());
-        collector.merge_saved(rr);
-    }
-    EXPECT_EQ(collector.pending_records(), reference.pending_records());
-
-    bin_statistics got, want;
-    collector.harvest(got);
-    reference.harvest(want);
-    for (int f = 0; f < flow::feature_count; ++f)
-        for (int od = 0; od < topo.od_count(); ++od)
-            EXPECT_EQ(got.snapshot.entropies[f][od],
-                      want.snapshot.entropies[f][od])
-                << "f=" << f << " od=" << od;
-    EXPECT_EQ(got.bytes, want.bytes);
-    EXPECT_EQ(got.packets, want.packets);
-    EXPECT_EQ(got.records, want.records);
-}
-
 TEST(OdShardSetTest, RejectsDegenerateArguments) {
     EXPECT_THROW(od_shard_set(0, 1), std::invalid_argument);
     od_shard_set set(10, 3);
     std::vector<flow::flow_record> records(2);
     std::vector<int> ods(1);
     EXPECT_THROW(set.accumulate(records, ods), std::invalid_argument);
-    EXPECT_THROW(set.merged_cell(10), std::out_of_range);
 }

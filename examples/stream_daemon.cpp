@@ -667,8 +667,11 @@ int main(int argc, char** argv) {
         if (value_of(arg, "--checkpoint-dir=", &v)) {
             cfg.checkpoint_dir = v;
         } else if (value_of(arg, "--checkpoint-every-bins=", &v)) {
-            if (!parse_size(v, cfg.checkpoint_every))
-                usage_error("--checkpoint-every-bins expects a number");
+            // 0 would write no checkpoint at all, so a supervised
+            // restart would silently cold-start instead of resuming.
+            if (!parse_size(v, cfg.checkpoint_every) ||
+                cfg.checkpoint_every == 0)
+                usage_error("--checkpoint-every-bins expects a count >= 1");
         } else if (value_of(arg, "--checkpoint-keep=", &v)) {
             if (!parse_size(v, cfg.checkpoint_keep))
                 usage_error("--checkpoint-keep expects a number");

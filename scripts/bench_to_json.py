@@ -17,12 +17,18 @@ Usage:
   scripts/bench_to_json.py --binary build-bench/bench/perf_core \
       [--binary build-bench/bench/perf_stream ...] \
       [--output BENCH_core.json] [--label my-change] [--set-baseline]
-      [--filter regex] [--min-time 0.1]
+      [--filter regex] [--min-time 0.1] [--repetitions 5]
       [--check bm_name:25 ...] [--check-only]
 
 --binary may be given several times; the distilled benchmark tables are
 merged into one record (benchmark names must be globally unique, which
 the bm_<area>_ naming convention guarantees).
+
+--repetitions N runs every binary N times (separate processes) and
+records, per benchmark, the pass with the median real_time (the lower
+middle one for even N), with its counters. One pass is noisy: the
+recorded reference must spread less than the gates anchored on it, so
+the bench_json target records the median of 5.
 
 --check NAME:PCT compares this run's NAME against the "current" section
 already recorded in the output file and exits nonzero if it is more
@@ -102,6 +108,20 @@ def to_ns(value, unit):
     return value * factor
 
 
+def median_pass(passes):
+    """Per benchmark, the entry of the pass with the median real_time.
+
+    Whole entries are kept (not per-field medians) so a benchmark's
+    counters stay consistent with its time.
+    """
+    out = {}
+    for name in passes[0]:
+        entries = sorted((p[name] for p in passes if name in p),
+                         key=lambda e: to_ns(e["real_time"], e["time_unit"]))
+        out[name] = entries[(len(entries) - 1) // 2]
+    return out
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--binary", required=True, action="append",
@@ -113,6 +133,9 @@ def main():
     ap.add_argument("--filter", default="", help="--benchmark_filter regex")
     ap.add_argument("--min-time", default="",
                     help="--benchmark_min_time per benchmark (seconds)")
+    ap.add_argument("--repetitions", type=int, default=1, metavar="N",
+                    help="run each binary N times and record each "
+                         "benchmark's median pass (default 1)")
     ap.add_argument("--check", action="append", default=[],
                     metavar="NAME:PCT",
                     help="fail if NAME is more than PCT%% slower than the "
@@ -124,11 +147,16 @@ def main():
                     help="fail if OTHER is more than PCT%% slower than BASE "
                          "within this same run (repeatable)")
     args = ap.parse_args()
+    if args.repetitions < 1:
+        ap.error("--repetitions expects N >= 1")
 
     benchmarks = {}
     context = {}
     for binary in args.binary:
-        raw = run_benchmark(binary, args.filter, args.min_time)
+        passes = []
+        for _ in range(args.repetitions):
+            raw = run_benchmark(binary, args.filter, args.min_time)
+            passes.append(distill(raw))
         if not context:
             context = {
                 "num_cpus": raw.get("context", {}).get("num_cpus"),
@@ -139,10 +167,10 @@ def main():
                 # kernel tier the run dispatched to.
                 "kernel_isa": raw.get("context", {}).get("kernel_isa"),
             }
-        benchmarks.update(distill(raw))
+        benchmarks.update(median_pass(passes))
     run = {
         "label": args.label or "unlabeled",
-        "context": context,
+        "context": dict(context, repetitions=args.repetitions),
         "benchmarks": benchmarks,
     }
 

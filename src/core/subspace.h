@@ -25,14 +25,6 @@ struct subspace_options {
     std::size_t normal_dims = 10;
     /// Subtract column means before PCA.
     bool center = true;
-    /// Fit through the partial-spectrum eigensolver (top normal_dims
-    /// eigenpairs via Sturm bisection + inverse iteration; exact
-    /// residual-spectrum moments from tridiagonal trace identities).
-    /// The solver falls back to full QL on its own when normal_dims is
-    /// within a factor 2 of the eigenproblem order. Turning this off
-    /// forces the full-QL fit everywhere — the A/B escape hatch the
-    /// detection-invariance tests pin the two paths against.
-    bool partial_fit = true;
 };
 
 /// A fitted subspace model over one data matrix.
@@ -41,8 +33,14 @@ public:
     /// Empty (unfitted) model; usable only as an assignment target.
     subspace_model() = default;
 
-    /// Fit on a t x n matrix (rows = timebins). Throws via fit_pca on
-    /// degenerate input; normal_dims is clamped to n.
+    /// Fit on a t x n matrix (rows = timebins) through the
+    /// partial-spectrum solver (linalg::fit_pca_topk): the top
+    /// normal_dims eigenpairs via Sturm bisection + inverse iteration,
+    /// exact residual-spectrum moments from tridiagonal trace
+    /// identities. The solver falls back to full QL on its own when
+    /// normal_dims is within a factor 2 of the eigenproblem order.
+    /// Throws via fit_pca_topk on degenerate input; normal_dims is
+    /// clamped to n.
     static subspace_model fit(const linalg::matrix& x,
                               const subspace_options& opts = {});
 
@@ -88,8 +86,6 @@ public:
     void load(io::wire_reader& r);
 
 private:
-    void finish_fit(const subspace_options& opts);
-
     linalg::pca_result pca_;
     std::size_t m_ = 0;
     double phi_[3] = {0, 0, 0};  ///< residual eigenvalue moments

@@ -11,8 +11,8 @@
 // boundaries and the per-element reduction order are independent of the
 // worker count — multiply sums k ascending, gram sums observation rows
 // ascending, outer_gram dots left to right — so under the scalar ISA
-// results are bit-identical to the naive reference kernels
-// (naive_multiply / naive_gram / naive_outer_gram below). Under the
+// results are bit-identical to the naive single-threaded loops with the
+// same order (the oracles in tests/linalg/parallel_test.cpp). Under the
 // fma256 ISA the identical reduction order runs with fused
 // multiply-adds: still deterministic run-to-run on the same machine,
 // but parity with the scalar reference is tolerance-level for multiply
@@ -111,8 +111,8 @@ matrix subtract(const matrix& a, const matrix& b);
 matrix scale(const matrix& a, double s);
 
 /// C = A * B (cache-blocked, parallel over row blocks; k-ascending
-/// reduction order, bit-identical to naive_multiply). Throws on shape
-/// mismatch.
+/// reduction order, bit-identical under the scalar ISA to the naive
+/// i-k-j loop). Throws on shape mismatch.
 matrix multiply(const matrix& a, const matrix& b);
 
 /// y = A * x. Throws on shape mismatch.
@@ -126,19 +126,14 @@ std::vector<double> multiply_transpose(const matrix& a,
 matrix transpose(const matrix& a);
 
 /// C = A^T * A without forming A^T explicitly (symmetric result;
-/// parallel over output-row blocks, bit-identical to naive_gram).
+/// parallel over output-row blocks; observation rows ascend, so it is
+/// bit-identical under the scalar ISA to the naive rank-1 loop).
 matrix gram(const matrix& a);
 
 /// C = A * A^T without forming A^T explicitly (symmetric result;
-/// parallel over output-row blocks, bit-identical to naive_outer_gram).
+/// parallel over output-row blocks; every entry is one dot(), so it is
+/// bit-identical to the naive pairwise loop under either ISA).
 matrix outer_gram(const matrix& a);
-
-/// Reference single-threaded kernels. The blocked/parallel kernels above
-/// are required (and tested) to match these bit-for-bit; they exist for
-/// parity tests and as executable documentation of the reduction order.
-matrix naive_multiply(const matrix& a, const matrix& b);
-matrix naive_gram(const matrix& a);
-matrix naive_outer_gram(const matrix& a);
 
 /// Frobenius norm of A.
 double frobenius_norm(const matrix& a) noexcept;

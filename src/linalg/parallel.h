@@ -14,9 +14,10 @@
 // follow:
 //   1. Same machine, same ISA: bit-identical run to run, any thread
 //      count. This is the invariant the parity tests pin.
-//   2. Scalar ISA anywhere (TFD_NO_FMA=1, or a CPU without AVX2+FMA):
-//      bit-identical to the naive reference kernels and to every
-//      pre-SIMD release — the historical contract, still available.
+//   2. Scalar ISA anywhere (force_kernel_isa(kernel_isa::scalar), or a
+//      CPU without AVX2+FMA): bit-identical to the naive single-threaded
+//      loops (the oracles in tests/linalg/parallel_test.cpp) and to
+//      every pre-SIMD release — the historical contract, still available.
 //   3. fma256 vs scalar: the same reduction order evaluated with fused
 //      multiply-adds; parity with the scalar reference is tolerance-
 //      level (contraction changes rounding, never ordering). Kernels

@@ -96,8 +96,8 @@ void assemble_gram_axes(const matrix& xc, const std::vector<double>& values,
     // against already-filled axes, starting from canonical vectors.
     // The residual subspace projector only needs an orthonormal
     // complement; exact choice is irrelevant. Only runs up to `target`
-    // axes: hot callers that never read past the leading axes pass a
-    // small target and skip (most of) this entirely.
+    // axes: the top-k fit passes target = k and skips (most of) this
+    // entirely.
     std::vector<double> v(n);
     std::size_t next_canon = 0;
     while (filled < target && next_canon < n) {
@@ -135,11 +135,7 @@ pca_result fit_pca(const matrix& x, const pca_options& opts) {
         eigen_result eg = symmetric_eigen(g);
 
         const std::size_t kept = significant_prefix(eg.values, t, n);
-        const std::size_t target =
-            opts.full_basis
-                ? n
-                : std::min(n, std::max(kept, opts.min_components));
-        assemble_gram_axes(xc, eg.values, eg.vectors, kept, target, n, out);
+        assemble_gram_axes(xc, eg.values, eg.vectors, kept, n, n, out);
     } else {
         matrix cov = gram(xc);
         for (double& v : cov.data()) v /= denom;

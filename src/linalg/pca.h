@@ -25,11 +25,8 @@ struct pca_result {
     /// `spectrum_moments`).
     std::vector<double> eigenvalues;
     /// Matrix with orthonormal columns; column j is the j-th principal
-    /// axis. cols x cols when pca_options::full_basis (the default);
-    /// with full_basis off it may have fewer columns (at least the
-    /// numerical rank, and at least min_components) — enough for any
-    /// projection onto the leading axes, without paying for an
-    /// orthonormal completion of the residual tail nobody reads.
+    /// axis. cols x cols for fit_pca; cols x min(k, cols) for
+    /// fit_pca_topk.
     matrix components;
     /// Sum of all eigenvalues (= total variance).
     double total_variance = 0.0;
@@ -60,19 +57,14 @@ struct pca_options {
     /// is much cheaper for wide matrices; results are identical up to the
     /// rank of the data.
     bool allow_gram_trick = true;
-    /// Materialize a full cols x cols orthonormal basis, Gram-Schmidt-
-    /// completing past the data's rank. Detection only ever projects onto
-    /// the leading axes, so hot callers (subspace_model) turn this off —
-    /// at the unfolded Abilene width the completion is the single most
-    /// expensive part of a fit.
-    bool full_basis = true;
-    /// With full_basis off: guarantee at least this many component
-    /// columns anyway (clamped to cols), completing orthonormally past
-    /// the rank if the data is too degenerate to supply them.
-    std::size_t min_components = 0;
 };
 
-/// Fit PCA on data matrix `x` (rows = observations, columns = variables).
+/// Fit PCA on data matrix `x` (rows = observations, columns = variables):
+/// the full-spectrum reference. Every eigenpair comes out of the full QL
+/// solver and `components` is a complete cols x cols orthonormal basis
+/// (Gram-Schmidt-completed past the data's rank on the Gram path).
+/// Detection uses fit_pca_topk; this is the oracle tests and the
+/// bm_pca_fit benchmark compare it against.
 ///
 /// Throws std::invalid_argument if x has fewer than 2 rows or no columns.
 pca_result fit_pca(const matrix& x, const pca_options& opts = {});
@@ -86,9 +78,7 @@ pca_result fit_pca(const matrix& x, const pca_options& opts = {});
 /// full-spectrum power sums (`spectrum_moments`) and has
 /// `partial_spectrum` set; `components` has exactly min(k, cols) columns
 /// (orthonormally completed past the data's rank if the input is too
-/// degenerate to supply them, mirroring min_components semantics).
-/// k is clamped to [1, cols]; opts.full_basis and opts.min_components
-/// are ignored (a partial fit is by definition not a full basis).
+/// degenerate to supply them). k is clamped to [1, cols].
 /// Falls back to the full QL solver internally when k is within a
 /// factor 2 of the eigenproblem order — the result shape is the same.
 pca_result fit_pca_topk(const matrix& x, std::size_t k,

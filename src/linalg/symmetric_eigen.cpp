@@ -158,9 +158,9 @@ void tridiagonalize(matrix& z, std::vector<double>& d, std::vector<double>& e,
 // sweet spot on 2 MB-L2 hardware at the n = 484..2048 widths the
 // unfolded OD matrices produce (swept 8..64).
 constexpr std::size_t kTridiagPanel = 16;
-// Trailing-update column tile: 64 doubles = one full zmm register block
-// of the avx512 GEMM kernel, and 2 * nb * 64 * 8 B = 16 KB of panel
-// slice, safely L1-resident.
+// Trailing-update column tile: 64 doubles = two full register blocks
+// of the fma256 GEMM kernel (32 doubles each), and 2 * nb * 64 * 8 B =
+// 16 KB of panel slice, safely L1-resident.
 constexpr std::size_t kTrailTile = 64;
 constexpr std::size_t kTridiagBlockedMinN = 128;
 

@@ -454,7 +454,9 @@ std::uint64_t stream_pipeline::config_fingerprint() const {
     w.varint(o.max_identified);
     w.varint(o.subspace.normal_dims);
     w.u8(o.subspace.center ? 1 : 0);
-    w.u8(o.subspace.partial_fit ? 1 : 0);
+    // Constant byte where the retired partial-fit switch (default on)
+    // was written: default-config checkpoints keep their fingerprint.
+    w.u8(1);
     w.f64(o.alpha);
     // Recalibration policy: every knob changes the trajectory of a
     // drift-aware detector, so a snapshot must not restore across a

@@ -1,10 +1,10 @@
 // Tests for the thread pool, the deterministic blocked parallel-for, and
 // parity between the blocked/parallel dense kernels and their naive
-// single-threaded references under ALL THREE SIMD ISAs: bit-exact under
-// the scalar micro-kernels, tolerance-level under fma256/avx512 (fused
+// single-threaded references under BOTH SIMD ISAs: bit-exact under the
+// scalar micro-kernels, tolerance-level under fma256 (fused
 // multiply-adds change rounding but not the reduction order), and
-// bit-exact for outer_gram under every tier (blocked and naive share
-// dot()). The avx512 cases skip cleanly on hardware without avx512f.
+// bit-exact for outer_gram under either tier (blocked and naive share
+// dot()). The fma256 cases skip cleanly on hardware without AVX2+FMA.
 #include "linalg/parallel.h"
 
 #include <gtest/gtest.h>
@@ -31,6 +31,53 @@ la::matrix random_matrix(std::size_t rows, std::size_t cols,
     return m;
 }
 
+// Naive single-threaded oracles: the blocked kernels must match these
+// bit-for-bit under the scalar ISA; they also document each kernel's
+// per-element reduction order.
+
+// C = A * B, k ascending for every (i, j).
+la::matrix naive_multiply(const la::matrix& a, const la::matrix& b) {
+    la::matrix c(a.rows(), b.cols());
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+        double* ci = c.row(i).data();
+        for (std::size_t k = 0; k < a.cols(); ++k) {
+            const double aik = a(i, k);
+            if (aik == 0.0) continue;
+            const double* bk = b.row(k).data();
+            for (std::size_t j = 0; j < b.cols(); ++j) ci[j] += aik * bk[j];
+        }
+    }
+    return c;
+}
+
+// C = A^T A, observation rows ascending; upper triangle, then mirrored.
+la::matrix naive_gram(const la::matrix& a) {
+    const std::size_t n = a.cols();
+    la::matrix c(n, n);
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+        const double* ar = a.row(r).data();
+        for (std::size_t i = 0; i < n; ++i) {
+            const double v = ar[i];
+            if (v == 0.0) continue;
+            double* ci = c.row(i).data();
+            for (std::size_t j = i; j < n; ++j) ci[j] += v * ar[j];
+        }
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = 0; j < i; ++j) c(i, j) = c(j, i);
+    return c;
+}
+
+// C = A A^T, one dispatched dot() per entry.
+la::matrix naive_outer_gram(const la::matrix& a) {
+    const std::size_t n = a.rows();
+    la::matrix c(n, n);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t j = i; j < n; ++j)
+            c(i, j) = c(j, i) = la::dot(a.row(i), a.row(j));
+    return c;
+}
+
 double max_abs(const la::matrix& m) {
     double v = 0.0;
     for (double x : m.data()) v = std::max(v, std::fabs(x));
@@ -41,8 +88,8 @@ double max_abs(const la::matrix& m) {
 // the process default afterwards. The naive references always run
 // scalar loops (their only FMA-sensitive piece, dot(), is shared with
 // the blocked kernels), so the allowed blocked-vs-naive gap depends on
-// the ISA: 0 for scalar, a small contraction tolerance for the two
-// fused-multiply-add tiers.
+// the ISA: 0 for scalar, a small contraction tolerance for the
+// fused-multiply-add tier.
 class KernelIsaParityTest : public ::testing::TestWithParam<la::kernel_isa> {
 protected:
     void SetUp() override {
@@ -124,7 +171,7 @@ TEST_P(KernelIsaParityTest, MultiplyMatchesNaive) {
         const auto a = random_matrix(n, k, 11u + n);
         const auto b = random_matrix(k, m, 29u + m);
         const auto blocked = la::multiply(a, b);
-        const auto naive = la::naive_multiply(a, b);
+        const auto naive = naive_multiply(a, b);
         EXPECT_LE(la::max_abs_diff(blocked, naive),
                   tol(GetParam(), std::max(1.0, max_abs(naive)), k))
             << n << "x" << k << "x" << m;
@@ -136,7 +183,7 @@ TEST_P(KernelIsaParityTest, GramMatchesNaive) {
                         std::tuple{33u, 130u}, std::tuple{96u, 484u}}) {
         const auto a = random_matrix(t, n, 101u + t);
         const auto blocked = la::gram(a);
-        const auto naive = la::naive_gram(a);
+        const auto naive = naive_gram(a);
         EXPECT_LE(la::max_abs_diff(blocked, naive),
                   tol(GetParam(), std::max(1.0, max_abs(naive)), t))
             << t << "x" << n;
@@ -150,7 +197,7 @@ TEST_P(KernelIsaParityTest, OuterGramMatchesNaiveExactly) {
     for (auto [t, n] : {std::tuple{4u, 10u}, std::tuple{64u, 64u},
                         std::tuple{130u, 33u}, std::tuple{96u, 484u}}) {
         const auto a = random_matrix(t, n, 7u + n);
-        EXPECT_EQ(la::max_abs_diff(la::outer_gram(a), la::naive_outer_gram(a)),
+        EXPECT_EQ(la::max_abs_diff(la::outer_gram(a), naive_outer_gram(a)),
                   0.0)
             << t << "x" << n;
     }
@@ -167,16 +214,15 @@ TEST_P(KernelIsaParityTest, KernelsAreDeterministic) {
 
 TEST_P(KernelIsaParityTest, GramAgreesWithExplicitTranspose) {
     const auto a = random_matrix(40, 70, 5);
-    const auto ref = la::naive_multiply(la::transpose(a), a);
+    const auto ref = naive_multiply(la::transpose(a), a);
     EXPECT_LT(la::max_abs_diff(la::gram(a), ref), 1e-12);
 }
 
 // The fused axpy_dot micro-kernel must match the axpy + dot composition
 // it replaces: exactly under scalar (the scalar body IS the
-// composition), within contraction tolerance under the vector tiers
-// (the fused sweep keeps a fixed reduction order but regroups the dot
-// into 4 accumulators). Odd lengths exercise every remainder path,
-// including the avx512 masked tail.
+// composition), within contraction tolerance under fma256 (the fused
+// sweep keeps a fixed reduction order but regroups the dot into 4
+// accumulators). Odd lengths exercise every remainder path.
 TEST_P(KernelIsaParityTest, AxpyDotMatchesComposition) {
     tfd::traffic::rng gen(321);
     for (std::size_t n : {0u, 1u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u,
@@ -229,8 +275,7 @@ TEST_P(KernelIsaParityTest, MicroKernelsAreDeterministic) {
 
 INSTANTIATE_TEST_SUITE_P(AllIsas, KernelIsaParityTest,
                          ::testing::Values(la::kernel_isa::scalar,
-                                           la::kernel_isa::fma256,
-                                           la::kernel_isa::avx512),
+                                           la::kernel_isa::fma256),
                          [](const auto& info) {
                              return la::kernel_isa_name(info.param);
                          });

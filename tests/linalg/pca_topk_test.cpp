@@ -1,7 +1,7 @@
-// fit_pca_topk vs fit_pca parity: leading eigenvalues, exact variance /
-// spectrum moments, subspace projectors, both eigenproblem branches
-// (Gram trick for wide data, covariance for tall data), rank-deficient
-// input, and the k >= order/2 fallback.
+// fit_pca_topk vs the full-basis fit_pca reference: leading eigenvalues,
+// exact variance / spectrum moments, subspace projectors, both
+// eigenproblem branches (Gram trick for wide data, covariance for tall
+// data), rank-deficient input, and the k >= order/2 fallback.
 #include "linalg/pca.h"
 
 #include <gtest/gtest.h>
@@ -35,13 +35,12 @@ double projector_gap(const la::matrix& v, const la::matrix& w) {
 
 void expect_topk_matches_full(const la::matrix& x, std::size_t k,
                               const char* what) {
-    la::pca_options fopts;
-    fopts.full_basis = false;
-    fopts.min_components = k;
-    const auto full = la::fit_pca(x, fopts);
+    const auto full = la::fit_pca(x);
     const auto part = la::fit_pca_topk(x, k);
 
     ASSERT_TRUE(part.partial_spectrum);
+    ASSERT_FALSE(full.partial_spectrum);
+    ASSERT_EQ(full.components.cols(), x.cols()) << what;
     ASSERT_GE(part.components.cols(), std::min(k, x.cols())) << what;
     ASSERT_EQ(part.eigenvalues.size(), std::min(k, x.cols())) << what;
 
@@ -107,10 +106,7 @@ TEST(PcaTopkTest, RankDeficientDataCompletesTheBasis) {
     const la::matrix vtv = la::gram(part.components);
     EXPECT_LT(la::max_abs_diff(vtv, la::matrix::identity(6)), 1e-8);
 
-    la::pca_options fopts;
-    fopts.full_basis = false;
-    fopts.min_components = 6;
-    const auto full = la::fit_pca(x, fopts);
+    const auto full = la::fit_pca(x);
     EXPECT_NEAR(part.total_variance, full.total_variance,
                 1e-9 * std::max(1.0, full.total_variance));
 }

@@ -1,6 +1,5 @@
-// Parity tests for the fast SPE paths: the scratch-buffer overload, the
-// batch spe_rows evaluation, and the reduced-basis (full_basis = false)
-// PCA fit that the subspace hot path uses.
+// Parity tests for the fast SPE paths: the scratch-buffer overload and
+// the batch spe_rows evaluation, on full fits and on the subspace model.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -88,31 +87,6 @@ TEST(SpeBatchTest, DegenerateObservationsReportNearZeroSpe) {
     const auto p = la::fit_pca(x);
     const auto spe = la::squared_prediction_error_rows(p, x, 4);
     for (double v : spe) EXPECT_LT(v, 1e-18);
-}
-
-TEST(SpeBatchTest, ReducedBasisFitMatchesFullBasisOnLeadingAxes) {
-    const auto x = structured_data(25, 60, 21);  // gram-trick shape
-    la::pca_options full;
-    la::pca_options lean;
-    lean.full_basis = false;
-    lean.min_components = 10;
-    const auto pf = la::fit_pca(x, full);
-    const auto pl = la::fit_pca(x, lean);
-
-    EXPECT_EQ(pf.components.cols(), 60u);
-    EXPECT_GE(pl.components.cols(), 10u);
-    EXPECT_LE(pl.components.cols(), 60u);
-    ASSERT_EQ(pf.eigenvalues.size(), pl.eigenvalues.size());
-    for (std::size_t j = 0; j < pl.eigenvalues.size(); ++j)
-        EXPECT_NEAR(pf.eigenvalues[j], pl.eigenvalues[j], 1e-12);
-    for (std::size_t j = 0; j < 10; ++j)
-        for (std::size_t i = 0; i < 60; ++i)
-            EXPECT_NEAR(pf.components(i, j), pl.components(i, j), 1e-12);
-
-    // Reduced basis still has orthonormal columns.
-    const auto vtv = la::gram(pl.components);
-    EXPECT_LT(la::max_abs_diff(vtv, la::matrix::identity(pl.components.cols())),
-              1e-8);
 }
 
 TEST(SpeBatchTest, SubspaceModelSpePathsAgree) {

@@ -122,7 +122,8 @@ struct daemon_config {
     std::size_t watchdog_secs = 30;
     std::size_t crash_after_bins = 0;
     std::string events_path;   ///< JSONL event file (empty = none)
-    std::string events_tcp;    ///< HOST:PORT event peer (empty = none)
+    std::string events_tcp_host;  ///< event peer host (empty = none)
+    std::uint16_t events_tcp_port = 0;  ///< event peer port, 1-65535
     std::size_t drift_relearn_bins = 0;  ///< 0 = drift monitor off
     int metrics_port = -1;     ///< -1 disabled, 0 ephemeral, else fixed
     std::size_t serve_secs = 0;  ///< keep the endpoint up after the drain
@@ -243,12 +244,9 @@ int run_worker(const daemon_config& cfg, std::size_t attempt) {
         event_tee.add(&*event_file);
     }
     std::optional<obs::tcp_sink> event_tcp;
-    if (!cfg.events_tcp.empty()) {
-        const std::size_t colon = cfg.events_tcp.rfind(':');
-        const std::string host = cfg.events_tcp.substr(0, colon);
-        const int port = std::atoi(cfg.events_tcp.c_str() + colon + 1);
+    if (!cfg.events_tcp_host.empty()) {
         try {
-            event_tcp.emplace(host, static_cast<std::uint16_t>(port));
+            event_tcp.emplace(cfg.events_tcp_host, cfg.events_tcp_port);
         } catch (const std::system_error& e) {
             std::fprintf(stderr, "stream_daemon: --events-tcp: %s\n",
                          e.what());
@@ -716,9 +714,13 @@ int main(int argc, char** argv) {
             cfg.events_path = v;
         } else if (value_of(arg, "--events-tcp=", &v)) {
             const char* colon = std::strrchr(v, ':');
-            if (colon == nullptr || colon == v || *(colon + 1) == '\0')
-                usage_error("--events-tcp expects HOST:PORT");
-            cfg.events_tcp = v;
+            std::size_t port = 0;
+            if (colon == nullptr || colon == v ||
+                !parse_size(colon + 1, port) || port < 1 || port > 65535)
+                usage_error("--events-tcp expects HOST:PORT with a port "
+                            "in 1-65535");
+            cfg.events_tcp_host.assign(v, colon);
+            cfg.events_tcp_port = static_cast<std::uint16_t>(port);
         } else if (value_of(arg, "--drift-relearn-bins=", &v)) {
             if (!parse_size(v, cfg.drift_relearn_bins) ||
                 cfg.drift_relearn_bins < 2)

@@ -28,27 +28,10 @@ entropy_detection detect_entropy_anomalies(const multiway_matrix& m,
         ev.bin = bin;
         ev.spe = out.rows.spe[bin];
 
-        const auto obs = m.h.row(bin);
-        const auto residual = model.residual(obs);
-        const auto ident = identify_flows(model, m, obs, iopts);
-        ev.flows = ident.flows;
-
-        if (!ev.flows.empty()) {
-            ev.top_od = ev.flows.front().od;
-        } else {
-            // Fall back to the flow with the largest residual energy.
-            double best = -1.0;
-            for (std::size_t od = 0; od < m.flows; ++od) {
-                const auto v = flow_residual(m, residual, static_cast<int>(od));
-                double e = 0.0;
-                for (double x : v) e += x * x;
-                if (e > best) {
-                    best = e;
-                    ev.top_od = static_cast<int>(od);
-                }
-            }
-        }
-        ev.h_tilde = to_unit_norm(flow_residual(m, residual, ev.top_od));
+        auto ex = explain_row(model, m, m.h.row(bin), iopts);
+        ev.flows = std::move(ex.flows);
+        ev.top_od = ex.top_od;
+        ev.h_tilde = ex.h_tilde;
         out.events.push_back(std::move(ev));
     }
     return out;

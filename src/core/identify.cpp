@@ -152,4 +152,30 @@ identification identify_flows(const subspace_model& model,
     return out;
 }
 
+row_explanation explain_row(const subspace_model& model,
+                            const multiway_matrix& m,
+                            std::span<const double> obs,
+                            const identify_options& opts) {
+    row_explanation out;
+    out.flows = identify_flows(model, m, obs, opts).flows;
+    const auto residual = model.residual(obs);
+    if (!out.flows.empty()) {
+        out.top_od = out.flows.front().od;
+    } else {
+        // Fall back to the flow with the largest residual energy.
+        double best = -1.0;
+        for (std::size_t od = 0; od < m.flows; ++od) {
+            const auto v = flow_residual(m, residual, static_cast<int>(od));
+            double e = 0.0;
+            for (double x : v) e += x * x;
+            if (e > best) {
+                best = e;
+                out.top_od = static_cast<int>(od);
+            }
+        }
+    }
+    out.h_tilde = to_unit_norm(flow_residual(m, residual, out.top_od));
+    return out;
+}
+
 }  // namespace tfd::core

@@ -51,4 +51,24 @@ identification identify_flows(const subspace_model& model,
                               std::span<const double> obs,
                               const identify_options& opts);
 
+/// Why an anomalous row fired: the identified flows, the flow judged
+/// primarily responsible, and its residual entropy vector.
+struct row_explanation {
+    std::vector<identified_flow> flows;  ///< from identify_flows
+    /// First identified flow, or the one with the largest residual
+    /// energy when identification found none.
+    int top_od = -1;
+    /// Unit-norm residual entropy 4-vector of top_od, in feature order
+    /// (srcIP, srcPort, dstIP, dstPort) — the classification coordinates.
+    std::array<double, flow::feature_count> h_tilde{};
+};
+
+/// identify_flows, then the top-OD choice and its unit-norm residual:
+/// the one explanation both the batch and the online detector attach
+/// to an anomalous row.
+row_explanation explain_row(const subspace_model& model,
+                            const multiway_matrix& m,
+                            std::span<const double> obs,
+                            const identify_options& opts);
+
 }  // namespace tfd::core

@@ -223,28 +223,12 @@ online_verdict online_detector::push(const entropy_snapshot& snapshot) {
 
     if (!v.anomalous) return v;
 
-    const auto ident =
-        identify_flows(*model_, layout_, obs,
-                       {.max_flows = opts_.max_identified,
-                        .stop_threshold = threshold_});
-    v.flows = ident.flows;
-    const auto residual = model_->residual(obs);
-    if (!v.flows.empty()) {
-        v.top_od = v.flows.front().od;
-    } else {
-        double best = -1.0;
-        for (std::size_t od = 0; od < flows_; ++od) {
-            const auto fr = flow_residual(layout_, residual,
-                                          static_cast<int>(od));
-            double e = 0.0;
-            for (double x : fr) e += x * x;
-            if (e > best) {
-                best = e;
-                v.top_od = static_cast<int>(od);
-            }
-        }
-    }
-    v.h_tilde = to_unit_norm(flow_residual(layout_, residual, v.top_od));
+    auto ex = explain_row(*model_, layout_, obs,
+                          {.max_flows = opts_.max_identified,
+                           .stop_threshold = threshold_});
+    v.flows = std::move(ex.flows);
+    v.top_od = ex.top_od;
+    v.h_tilde = ex.h_tilde;
     return v;
 }
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -21,7 +22,6 @@ namespace fs = std::filesystem;
 
 constexpr const char* kCheckpointPrefix = "checkpoint-";
 constexpr const char* kCheckpointSuffix = ".tfss";
-constexpr const char* kLegacyName = "checkpoint.tfss";
 
 std::string checkpoint_name(std::uint64_t seq) {
     char buf[64];
@@ -30,8 +30,7 @@ std::string checkpoint_name(std::uint64_t seq) {
     return buf;
 }
 
-/// Parse "checkpoint-NNNNNN.tfss" -> NNNNNN; the legacy unnumbered
-/// "checkpoint.tfss" maps to nullopt-with-legacy handling at the caller.
+/// Parse "checkpoint-NNNNNN.tfss" -> NNNNNN; nullopt for any other name.
 std::optional<std::uint64_t> parse_seq(const std::string& name) {
     const std::string prefix = kCheckpointPrefix;
     const std::string suffix = kCheckpointSuffix;
@@ -49,8 +48,6 @@ std::optional<std::uint64_t> parse_seq(const std::string& name) {
 }
 
 struct candidate {
-    /// Legacy unnumbered file sorts below every numbered one.
-    bool numbered;
     std::uint64_t seq;
     std::string path;
 };
@@ -63,13 +60,10 @@ std::vector<candidate> list_checkpoints(const std::string& dir) {
         if (!entry.is_regular_file(ec)) continue;
         const std::string name = entry.path().filename().string();
         if (const auto seq = parse_seq(name))
-            found.push_back({true, *seq, entry.path().string()});
-        else if (name == kLegacyName)
-            found.push_back({false, 0, entry.path().string()});
+            found.push_back({*seq, entry.path().string()});
     }
     std::sort(found.begin(), found.end(),
               [](const candidate& a, const candidate& b) {
-                  if (a.numbered != b.numbered) return a.numbered > b.numbered;
                   return a.seq > b.seq;
               });
     return found;
@@ -96,13 +90,6 @@ std::uint64_t backoff_with_jitter_us(const checkpoint_options& opts,
 }
 
 }  // namespace
-
-void save_checkpoint(const stream_pipeline& pipeline,
-                     const std::string& path) {
-    io::snapshot_writer snap(pipeline.config_fingerprint());
-    pipeline.save_state(snap);
-    snap.save_file(path);
-}
 
 void save_checkpoint(const stream_pipeline& pipeline, const std::string& path,
                      const checkpoint_options& opts,
@@ -189,17 +176,16 @@ periodic_checkpointer::periodic_checkpointer(stream_pipeline& pipeline,
       every_bins_(every_bins),
       keep_last_(keep_last),
       opts_(opts) {
+    if (every_bins_ == 0)
+        throw std::invalid_argument(
+            "periodic_checkpointer: every_bins must be >= 1");
     // Sequence numbers continue past whatever the directory holds, so a
     // restarted daemon never overwrites the snapshot it restored from.
-    for (const auto& cand : list_checkpoints(dir_))
-        if (cand.numbered) {
-            next_seq_ = cand.seq + 1;
-            break;
-        }
+    const auto existing = list_checkpoints(dir_);  // newest first
+    if (!existing.empty()) next_seq_ = existing.front().seq + 1;
 }
 
 void periodic_checkpointer::on_bin_emitted() {
-    if (every_bins_ == 0) return;
     if (++since_last_ < every_bins_) return;
 
     const std::string path =

@@ -37,13 +37,6 @@ class latency_histogram;  // obs/metrics.h — optional write latency sink
 
 namespace tfd::stream {
 
-/// Atomically write `pipeline`'s complete state (cursor + time base,
-/// open-bin shard cells, detector window/model, cumulative metrics) to
-/// `path` (write-to-temp + rename). Throws io::snapshot_error on
-/// filesystem failure.
-void save_checkpoint(const stream_pipeline& pipeline,
-                     const std::string& path);
-
 /// Durability policy for checkpoint writes under a flaky filesystem.
 struct checkpoint_options {
     /// Total save attempts before giving up (>= 1). Only transient
@@ -85,13 +78,15 @@ struct checkpoint_save_stats {
     std::uint64_t saves_failed = 0;  ///< saves abandoned after all attempts
 };
 
-/// save_checkpoint with bounded retry: on transient io_failure, retry
-/// up to opts.save_attempts total attempts with exponential backoff and
-/// deterministic jitter. Rethrows the last error once attempts are
-/// exhausted (after counting saves_failed). `stats`, when non-null, is
-/// updated either way.
+/// Atomically write `pipeline`'s complete state (cursor + time base,
+/// open-bin shard cells, detector window/model, cumulative metrics) to
+/// `path` (write-to-temp + rename), with bounded retry: on transient
+/// io_failure, retry up to opts.save_attempts total attempts with
+/// exponential backoff and deterministic jitter. Rethrows the last
+/// io::snapshot_error once attempts are exhausted (after counting
+/// saves_failed). `stats`, when non-null, is updated either way.
 void save_checkpoint(const stream_pipeline& pipeline, const std::string& path,
-                     const checkpoint_options& opts,
+                     const checkpoint_options& opts = {},
                      checkpoint_save_stats* stats = nullptr);
 
 /// Restore a checkpoint into `pipeline`, which must be freshly
@@ -115,11 +110,11 @@ struct restore_report {
     std::size_t io_failed_skipped = 0;   ///< unreadable (permissions, EIO)
 };
 
-/// Scan `dir` for checkpoint snapshots (newest sequence number first,
-/// the legacy unnumbered `checkpoint.tfss` last), fully validate each
-/// candidate, and restore the newest valid one into `pipeline`. Invalid
-/// candidates are skipped and counted by cause — a corrupt latest
-/// checkpoint costs `every_bins` of extra replay, not the run.
+/// Scan `dir` for `checkpoint-NNNNNN.tfss` snapshots (newest sequence
+/// number first), fully validate each candidate, and restore the newest
+/// valid one into `pipeline`. Invalid candidates are skipped and
+/// counted by cause — a corrupt latest checkpoint costs `every_bins` of
+/// extra replay, not the run.
 ///
 /// Validation happens on the file bytes before any pipeline state is
 /// touched, so skipping a bad candidate never taints the pipeline. If
@@ -129,26 +124,6 @@ struct restore_report {
 restore_report restore_latest_checkpoint(stream_pipeline& pipeline,
                                          const std::string& dir);
 
-/// Periodic checkpointing policy for a daemon: call on_bin_emitted()
-/// from the pipeline's bin observer; every `every_bins` emitted bins it
-/// writes `<dir>/checkpoint-NNNNNN.tfss` atomically (sequence numbers
-/// continue from whatever the directory already holds). A crash between
-/// writes loses at most `every_bins` bins of progress. Resume by
-/// replaying the stream from exactly `metrics().records_in` records in
-/// — the precise drained position at the checkpoint cut. With reorder
-/// off, replaying from any earlier point is also safe (the open bin is
-/// empty at every observer cut, so the already-scored prefix simply
-/// late-drops); with reorder on it is NOT — a cut taken while a bin is
-/// held open serializes records of the current bin, and re-pushing
-/// those would double-count them. Skip exactly records_in and both
-/// modes resume bit-identically.
-///
-/// `keep_last` > 0 enables count-based retention: after each successful
-/// write, older checkpoint files beyond the newest keep_last are
-/// deleted oldest-first (the legacy unnumbered file counts as oldest).
-/// opts.keep_hours > 0 adds age-based retention on top (delete anything
-/// older than that many hours by mtime, never the file just written).
-/// 0 for both keeps everything.
 /// What one successful periodic checkpoint write produced (for the
 /// on_checkpoint observer).
 struct checkpoint_written {
@@ -157,9 +132,29 @@ struct checkpoint_written {
     std::uint64_t retries = 0; ///< extra attempts this write needed
 };
 
+/// Periodic checkpointing policy for a daemon: call on_bin_emitted()
+/// from the pipeline's bin observer; every `every_bins` emitted bins it
+/// writes `<dir>/checkpoint-NNNNNN.tfss` atomically (sequence numbers
+/// continue from whatever the directory already holds). A crash between
+/// writes loses at most `every_bins` bins of progress. Resume by
+/// replaying the stream from exactly `metrics().records_in` records in
+/// — the precise drained position at the checkpoint cut. With an empty
+/// reorder window (W = 0), replaying from any earlier point is also
+/// safe (the open bin is empty at every observer cut, so the
+/// already-scored prefix simply late-drops); with W > 0 it is NOT — a
+/// cut taken while a bin is held open serializes records of the
+/// current bin, and re-pushing those would double-count them. Skip
+/// exactly records_in and every W resumes bit-identically.
+///
+/// `keep_last` > 0 enables count-based retention: after each successful
+/// write, older checkpoint files beyond the newest keep_last are
+/// deleted oldest-first. opts.keep_hours > 0 adds age-based retention
+/// on top (delete anything older than that many hours by mtime, never
+/// the file just written). 0 for both keeps everything.
 class periodic_checkpointer {
 public:
-    /// `every_bins` == 0 disables (on_bin_emitted becomes a no-op).
+    /// Throws std::invalid_argument when `every_bins` == 0 (a period
+    /// that never writes would leave a restart nothing to resume from).
     periodic_checkpointer(stream_pipeline& pipeline, std::string dir,
                           std::size_t every_bins, std::size_t keep_last = 0,
                           checkpoint_options opts = {});

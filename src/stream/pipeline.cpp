@@ -95,13 +95,6 @@ void stream_pipeline::close_bin() {
     emit_bin(shards_, closing);
 }
 
-void stream_pipeline::advance_to(std::size_t bin) {
-    // Emit every bin up to (excluding) `bin`: the open one, then empty
-    // gap bins, keeping the detector's row-per-bin time base intact.
-    while (bin_open_ && current_bin_ < bin) close_bin();
-    current_bin_ = bin;
-}
-
 od_shard_set stream_pipeline::acquire_set() {
     if (!set_pool_.empty()) {
         od_shard_set set = std::move(set_pool_.back());
@@ -148,12 +141,14 @@ void stream_pipeline::emit_pending_below(std::size_t limit) {
     }
 }
 
-void stream_pipeline::reorder_advance(std::size_t bin) {
+void stream_pipeline::advance(std::size_t bin) {
     // The cursor moves forward to `bin`; the window now covers
     // [bin - W, bin]. Everything that slid below it is emitted
     // (ascending, gap-complete); the cursor's old bin either joins the
     // held ring or — when the jump is wider than the window — is
     // emitted along with the empty bins bridging it to the window edge.
+    // With W = 0 the window's low edge is `bin` itself, so the first
+    // branch always runs and nothing is ever held.
     const std::size_t w = opts_.reorder_window_bins;
     const std::size_t low = bin > w ? bin - w : 0;
     if (current_bin_ < low) {
@@ -171,9 +166,33 @@ void stream_pipeline::reorder_advance(std::size_t bin) {
     }
 }
 
+void stream_pipeline::reset_time_base(std::size_t bin) {
+    // A jump beyond max_gap_bins in either direction: don't spin
+    // through an absurd number of empty harvests, and don't let one
+    // corrupt timestamp late-drop the rest of a sane feed (see
+    // pipeline_options). Every pending bin is scored, the lifecycle
+    // observer hears of the reset before the closing bin's on_bin
+    // callback, and the pipeline resumes with `bin` open. After
+    // finish() no bin is open, so there is no closing bin to emit.
+    emit_pending_below(current_bin_);
+    ++metrics_.time_base_resets;
+    const std::size_t closing = current_bin_;
+    const bool had_open = bin_open_;
+    if (lifecycle_cb_) {
+        lifecycle_event ev;
+        ev.type = lifecycle_event::kind::time_base_reset;
+        ev.from_bin = closing;
+        ev.to_bin = bin;
+        lifecycle_cb_(ev);
+    }
+    current_bin_ = bin;
+    open_floor_ = bin;
+    bin_open_ = true;
+    if (had_open) emit_bin(shards_, closing);
+}
+
 void stream_pipeline::push(std::span<const flow::flow_record> records) {
     if (records.empty()) return;
-    const bool reorder = opts_.reorder_window_bins > 0;
     // The accumulation clock covers resolve + routing + shard work, so
     // records_per_second() reflects the full per-record ingest cost.
     // The same clock (bin closures excluded) feeds the per-push
@@ -198,12 +217,12 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
             ++j;
         const auto run = records.subspan(i, j - i);
         // A record is late when its bin has already been scored: below
-        // the reorder window (or, with reorder off, behind the
-        // cursor), or — after finish()/run() closed the stream — at or
-        // below the last emitted bin. Late records cannot be replayed
-        // into the model. Only resolvable records count as late;
-        // unresolvable ones are already in resolver_drops, so the
-        // counters partition records_in exactly.
+        // the reorder window (with W = 0, behind the cursor), or —
+        // after finish()/run() closed the stream — at or below the
+        // last emitted bin. Late records cannot be replayed into the
+        // model. Only resolvable records count as late; unresolvable
+        // ones are already in resolver_drops, so the counters
+        // partition records_in exactly.
         // A straggler lands in a held bin of the reorder ring — or,
         // when its bin is inside the window but holds no accumulator
         // yet and was provably never scored (an implicit empty gap,
@@ -217,7 +236,7 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
         // era-local, so a bin more than max_gap_bins below every scored
         // bin has no verdict in this era).
         od_shard_set* straggler_set = nullptr;
-        if (reorder && bin_open_ && bin < current_bin_ &&
+        if (bin_open_ && bin < current_bin_ &&
             current_bin_ - bin <= opts_.reorder_window_bins) {
             straggler_set = find_held(bin);
             if (!straggler_set &&
@@ -232,29 +251,13 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
                        : metrics_.bins_emitted > 0 && bin <= current_bin_);
         if (late) {
             // A backward jump beyond max_gap_bins is a time-base
-            // discontinuity, the mirror of the forward case below: one
-            // corrupt far-future timestamp must not poison current_bin_
-            // so badly that the entire remaining (sane) feed gets
-            // late-dropped. Resync instead of dropping.
+            // discontinuity, the mirror of the forward case below:
+            // resync instead of dropping.
             if (current_bin_ - bin > opts_.max_gap_bins) {
                 const std::uint64_t dt = now_ns() - t0;
                 metrics_.accumulate_ns += dt;
                 push_accum_ns += dt;
-                if (reorder) emit_pending_below(current_bin_);
-                ++metrics_.time_base_resets;
-                const std::size_t closing = current_bin_;
-                const bool had_open = bin_open_;
-                if (lifecycle_cb_) {
-                    lifecycle_event ev;
-                    ev.type = lifecycle_event::kind::time_base_reset;
-                    ev.from_bin = closing;
-                    ev.to_bin = bin;
-                    lifecycle_cb_(ev);
-                }
-                current_bin_ = bin;
-                open_floor_ = bin;
-                bin_open_ = true;
-                if (had_open) emit_bin(shards_, closing);
+                reset_time_base(bin);
                 t0 = now_ns();
             } else {
                 resolver_.resolve_batch(run, od_scratch_,
@@ -276,27 +279,10 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
             const std::uint64_t dt = now_ns() - t0;
             metrics_.accumulate_ns += dt;
             push_accum_ns += dt;
-            if (bin - current_bin_ > opts_.max_gap_bins) {
-                // Time-base discontinuity: don't spin through an absurd
-                // number of empty harvests (see pipeline_options).
-                if (reorder) emit_pending_below(current_bin_);
-                ++metrics_.time_base_resets;
-                const std::size_t closing = current_bin_;
-                if (lifecycle_cb_) {
-                    lifecycle_event ev;
-                    ev.type = lifecycle_event::kind::time_base_reset;
-                    ev.from_bin = closing;
-                    ev.to_bin = bin;
-                    lifecycle_cb_(ev);
-                }
-                current_bin_ = bin;
-                open_floor_ = bin;
-                emit_bin(shards_, closing);
-            } else if (reorder) {
-                reorder_advance(bin);
-            } else {
-                advance_to(bin);
-            }
+            if (bin - current_bin_ > opts_.max_gap_bins)
+                reset_time_base(bin);
+            else
+                advance(bin);
             t0 = now_ns();
         }
         resolver_.resolve_batch(run, od_scratch_, &metrics_.resolver_drops);
@@ -321,9 +307,8 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
 }
 
 void stream_pipeline::finish() {
-    if (bin_open_ && opts_.reorder_window_bins > 0)
-        emit_pending_below(current_bin_);
     if (!bin_open_) return;
+    emit_pending_below(current_bin_);
     // Clear the open flag before emitting so an observer (e.g. a
     // checkpoint) sees the finished state: the emitted bin is the last,
     // and any later record for it is late.

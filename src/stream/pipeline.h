@@ -9,12 +9,16 @@
 //
 // "Bin-synchronous" means the pipeline never scores a bin until every
 // record of that bin has been accumulated: records drive time forward,
-// a bin closes when the first record of a later bin arrives (or on
-// finish()), and gap bins are emitted as empty snapshots so the
-// detector's time base matches the batch dataset's row-per-bin layout.
-// Records for already-closed bins cannot be replayed into the model and
-// are counted as late drops (`metrics().late_records`), mirroring what
-// a real collector does with straggler exports.
+// and gap bins are emitted as empty snapshots so the detector's time
+// base matches the batch dataset's row-per-bin layout. There is one bin
+// lifecycle: the cursor's bin is open, a reorder ring holds the W =
+// reorder_window_bins bins behind it open too, and a bin closes once
+// the cursor moves more than W bins past it (or on finish()). W = 0 is
+// the ring with an empty window: a bin closes when the first record of
+// a later bin arrives. Records for already-closed bins cannot be
+// replayed into the model and are counted as late drops
+// (`metrics().late_records`), mirroring what a real collector does with
+// straggler exports.
 //
 // Backpressure: run() decodes frames on a producer thread into a
 // bounded queue and consumes them on the calling thread. When
@@ -71,18 +75,6 @@ public:
         items_.push_back(std::move(item));
         high_watermark_ = std::max(high_watermark_, items_.size());
         lock.unlock();
-        item_cv_.notify_one();
-        return true;
-    }
-
-    /// Non-blocking push; false when full or closed.
-    bool try_push(T item) {
-        {
-            std::unique_lock lock(mu_);
-            if (closed_ || items_.size() >= capacity_) return false;
-            items_.push_back(std::move(item));
-            high_watermark_ = std::max(high_watermark_, items_.size());
-        }
         item_cv_.notify_one();
         return true;
     }
@@ -195,16 +187,17 @@ struct pipeline_options {
     /// empty harvests nor poisons the time base so every later sane
     /// record gets late-dropped. Default: one week of 5-minute bins.
     std::size_t max_gap_bins = 2016;
-    /// Opt-in reorder tolerance (0 = off; up to 64 bins of depth). With
-    /// window W, the W bins behind the cursor are held open: bin B is
-    /// only closed and scored once a record of bin B+W+1 arrives, so
-    /// straggler exports within W bins of the cursor are accepted
-    /// (counted in metrics().records_reordered) instead of
-    /// late-dropped. Costs W bins of verdict latency; with no
-    /// stragglers in the stream the emitted bins and verdicts are
-    /// identical to the default path for every W. Must be <=
-    /// max_gap_bins (a straggler inside the window is never a
-    /// time-base discontinuity); values above 64 are rejected.
+    /// Depth W of the reorder ring (up to 64 bins). The W bins behind
+    /// the cursor are held open: bin B is only closed and scored once a
+    /// record of bin B+W+1 arrives, so straggler exports within W bins
+    /// of the cursor are accepted (counted in
+    /// metrics().records_reordered) instead of late-dropped. Costs W
+    /// bins of verdict latency. The default W = 0 is the same ring with
+    /// an empty window: nothing is held, and a record behind the cursor
+    /// is late. With no stragglers in the stream the emitted bins and
+    /// verdicts are identical for every W. Must be <= max_gap_bins (a
+    /// straggler inside the window is never a time-base
+    /// discontinuity); values above 64 are rejected.
     std::size_t reorder_window_bins = 0;
     /// Optional per-stage latency histograms (obs/metrics.h): frame
     /// decode, resolve+accumulate per push, and bin close feed the
@@ -252,7 +245,7 @@ struct pipeline_metrics {
     std::uint64_t records_reordered = 0;
     std::uint64_t bins_emitted = 0;
     std::uint64_t empty_bins = 0;           ///< gap bins emitted with no records
-    std::uint64_t time_base_resets = 0;     ///< forward jumps > max_gap_bins
+    std::uint64_t time_base_resets = 0;     ///< jumps > max_gap_bins, either way
     std::uint64_t anomalies = 0;
     std::uint64_t accumulate_ns = 0;  ///< resolve + shard accumulation
     std::uint64_t bin_close_ns = 0;   ///< harvest + detector push, total
@@ -384,13 +377,13 @@ private:
 
     void emit_bin(od_shard_set& shards, std::size_t bin);
     void close_bin();
-    void advance_to(std::size_t bin);
-    // ---- reorder ring (reorder_window_bins > 0) ----
+    // ---- reorder ring (empty when reorder_window_bins == 0) ----
     od_shard_set acquire_set();
     od_shard_set* find_held(std::size_t bin);
     od_shard_set* retro_open(std::size_t bin);
     void emit_pending_below(std::size_t limit);
-    void reorder_advance(std::size_t bin);
+    void advance(std::size_t bin);
+    void reset_time_base(std::size_t bin);
 
     flow::od_resolver resolver_;
     pipeline_options opts_;
@@ -403,11 +396,11 @@ private:
     std::vector<int> od_scratch_;  ///< reused resolve_batch output
     std::size_t current_bin_ = 0;
     bool bin_open_ = false;
-    /// Reorder mode only: bins held open behind the cursor, ascending
-    /// by bin index. Sparse — only bins that actually received records
-    /// (or were once the cursor) carry an accumulator; window bins
-    /// nothing landed in stay implicit and are emitted as empty gap
-    /// bins when the window slides past them.
+    /// Bins held open behind the cursor, ascending by bin index (always
+    /// empty when reorder_window_bins == 0). Sparse — only bins that
+    /// actually received records (or were once the cursor) carry an
+    /// accumulator; window bins nothing landed in stay implicit and are
+    /// emitted as empty gap bins when the window slides past them.
     std::vector<held_bin> held_;
     /// Harvested (empty) shard sets recycled across held bins and
     /// empty-gap emissions, so a sliding window allocates nothing in
@@ -419,7 +412,7 @@ private:
     /// predates the era). Drives ascending gap-complete emission when
     /// the window slides.
     std::size_t open_floor_ = 0;
-    /// Highest-scored-bin bookkeeping for the reorder path: a record
+    /// Highest-scored-bin bookkeeping for the straggler test: a record
     /// behind the cursor but inside the window is a straggler (never
     /// late) as long as its bin was provably never emitted — at stream
     /// start, and after a time-base reset, bins behind the cursor have

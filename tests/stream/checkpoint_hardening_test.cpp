@@ -8,6 +8,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -323,4 +324,14 @@ TEST(CheckpointHardeningTest, AgeBasedRetentionExpiresOldCheckpoints) {
     EXPECT_EQ(report.restored_path,
               (dir.path / "checkpoint-000003.tfss").string());
     EXPECT_EQ(fresh.metrics().bins_emitted, 8u);
+}
+
+TEST(CheckpointHardeningTest, ZeroPeriodIsRejected) {
+    // A checkpointer that never writes would leave a restart nothing to
+    // resume from, so a period of 0 is a construction error.
+    const auto topo = net::topology::abilene();
+    stream_pipeline p(topo, make_opts(1));
+    const temp_dir dir("zero_period");
+    EXPECT_THROW(periodic_checkpointer(p, dir.path.string(), 0),
+                 std::invalid_argument);
 }

@@ -438,11 +438,53 @@ TEST(StreamPipelineTest, RecoversWhenSaneRecordsFollowAGarbageTimestamp) {
     EXPECT_EQ(results[3].stats.records, 1u);
 }
 
-TEST(BoundedQueueTest, FifoCloseAndTryPush) {
+TEST(StreamPipelineTest, BackwardResetAfterFinishStartsANewEra) {
+    // After finish() no bin is open; a backward jump beyond
+    // max_gap_bins must still reset the time base (with no closing bin
+    // to emit) rather than late-drop the new era — for an empty reorder
+    // window and a deep one alike.
+    const auto topo = net::topology::abilene();
+    auto record_in_bin = [&](std::size_t bin) {
+        flow::flow_record r;
+        r.ingress_pop = 0;
+        r.key.dst = topo.address_in_pop(1, 5);
+        r.packets = 1;
+        r.first_us = bin * flow::default_bin_us + 7;
+        r.last_us = r.first_us;
+        return r;
+    };
+    for (const std::size_t window : {std::size_t{0}, std::size_t{2}}) {
+        SCOPED_TRACE(window);
+        pipeline_options opts;
+        opts.shards = 1;
+        opts.online = small_online();
+        opts.max_gap_bins = 10;
+        opts.reorder_window_bins = window;
+        stream_pipeline pipeline(topo, opts);
+        std::vector<std::size_t> bins;
+        pipeline.on_bin(
+            [&](const bin_result& r) { bins.push_back(r.stats.bin); });
+
+        const std::vector<flow::flow_record> first = {record_in_bin(100),
+                                                      record_in_bin(101)};
+        pipeline.push(first);
+        pipeline.finish();
+        const std::vector<flow::flow_record> second = {record_in_bin(5),
+                                                       record_in_bin(6)};
+        pipeline.push(second);
+        pipeline.finish();
+
+        EXPECT_EQ(bins, (std::vector<std::size_t>{100, 101, 5, 6}));
+        EXPECT_EQ(pipeline.metrics().time_base_resets, 1u);
+        EXPECT_EQ(pipeline.metrics().late_records, 0u);
+    }
+}
+
+TEST(BoundedQueueTest, FifoAndClose) {
     bounded_queue<int> q(2);
-    EXPECT_TRUE(q.try_push(1));
-    EXPECT_TRUE(q.try_push(2));
-    EXPECT_FALSE(q.try_push(3));  // full
+    EXPECT_TRUE(q.push(1));
+    EXPECT_TRUE(q.push(2));
+    EXPECT_EQ(q.blocked_pushes(), 0u);
     EXPECT_EQ(q.high_watermark(), 2u);
     EXPECT_EQ(*q.pop(), 1);
     EXPECT_EQ(*q.pop(), 2);
@@ -453,7 +495,7 @@ TEST(BoundedQueueTest, FifoCloseAndTryPush) {
 
 TEST(BoundedQueueTest, PushBlocksWhenFullUntilPopped) {
     bounded_queue<int> q(1);
-    ASSERT_TRUE(q.try_push(1));
+    ASSERT_TRUE(q.push(1));
 
     std::atomic<bool> pushed{false};
     std::thread producer([&] {
@@ -475,7 +517,7 @@ TEST(BoundedQueueTest, PushBlocksWhenFullUntilPopped) {
 
 TEST(BoundedQueueTest, CloseUnblocksProducer) {
     bounded_queue<int> q(1);
-    ASSERT_TRUE(q.try_push(1));
+    ASSERT_TRUE(q.push(1));
     std::thread producer([&] { EXPECT_FALSE(q.push(2)); });
     for (int spin = 0; spin < 1000 && q.blocked_pushes() == 0; ++spin)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -1,8 +1,8 @@
-// Single-bin reorder tolerance: with reorder_window_bins = 1 a bin is
-// held open one extra bin of stream time, so stragglers within one bin
-// of the cursor are accepted (counted in records_reordered) instead of
-// late-dropped — and with no stragglers in the stream the output is
-// identical to the default path.
+// The reorder ring: with reorder_window_bins = W a bin is held open W
+// extra bins of stream time, so stragglers within W bins of the cursor
+// are accepted (counted in records_reordered) instead of late-dropped.
+// W = 0 is the same ring with an empty window, and with no stragglers
+// in the stream every W emits the same bins and verdicts as W = 0.
 #include <gtest/gtest.h>
 
 #include <vector>

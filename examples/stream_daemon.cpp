@@ -1,13 +1,19 @@
 // stream_daemon — the measurement substrate as a collector daemon would
-// run it: capture at every PoP, spool to the binary flow codec, and
-// stream the spool through the sharded bin-synchronous pipeline into
-// the online detector.
+// run it: spool a sampled, anonymized Abilene feed to the binary flow
+// codec, and stream the spool through the sharded bin-synchronous
+// pipeline into the online detector.
 //
-//   packets -> flow_capture (1-in-100 sampling) -> anonymizer
-//           -> flow_codec spool -> producer thread -> bounded queue
-//           -> od shards -> per-bin entropy -> online detector
+//   network_study (Abilene, seed 2024: background + planted anomalies,
+//     1-in-100 sampled, 11-bit anonymized) -> flow_codec spool
+//     -> producer thread -> bounded queue -> od shards
+//     -> per-bin entropy -> online detector
 //
-// and every stage reports its operational counters at the end.
+// and every stage reports its operational counters at the end. The
+// feed comes from the generator the figures use, so its planted
+// anomalies are ground truth the verdicts can be checked against.
+// packets_per_pop_per_bin sets the feed's density: before the study's
+// seasonal modulation, a bin carries pop_count x
+// packets_per_pop_per_bin / 100 sampled records on average.
 //
 // Usage: stream_daemon [bins] [packets_per_pop_per_bin] [shards]
 //          [--checkpoint-dir=DIR] [--checkpoint-every-bins=N]
@@ -77,13 +83,13 @@
 #include <optional>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <system_error>
 #include <thread>
 #include <vector>
 
-#include "flow/anonymizer.h"
-#include "flow/flow_capture.h"
+#include "diagnosis/dataset.h"
 #include "io/fault.h"
 #include "net/topology.h"
 #include "obs/alert.h"
@@ -93,8 +99,6 @@
 #include "obs/sink.h"
 #include "stream/checkpoint.h"
 #include "stream/pipeline.h"
-#include "traffic/rng.h"
-#include "traffic/zipf.h"
 
 using namespace tfd;
 
@@ -129,69 +133,33 @@ struct daemon_config {
     std::size_t serve_secs = 0;  ///< keep the endpoint up after the drain
 };
 
-// Synthesize raw packets seen at one ingress PoP during one 5-minute bin.
-std::vector<flow::packet> packets_at_ingress(const net::topology& topo,
-                                             int ingress, std::size_t bin,
-                                             std::size_t count,
-                                             traffic::rng& gen) {
-    traffic::zipf_sampler hosts(2048, 1.1);
-    std::vector<flow::packet> out;
-    out.reserve(count);
-    const std::uint64_t bin_start = bin * flow::default_bin_us;
-    for (std::size_t i = 0; i < count; ++i) {
-        flow::packet p;
-        p.time_us = bin_start + gen.uniform_int(flow::default_bin_us);
-        p.src = topo.address_in_pop(
-            ingress, static_cast<std::uint32_t>(hosts.sample(gen) * 2654435761u));
-        // Destination anywhere in the network (egress resolved by LPM).
-        const int egress = static_cast<int>(gen.uniform_int(topo.pop_count()));
-        p.dst = topo.address_in_pop(
-            egress, static_cast<std::uint32_t>(hosts.sample(gen) * 40503u));
-        p.src_port = static_cast<std::uint16_t>(1024 + gen.uniform_int(64512));
-        p.dst_port = gen.chance(0.8) ? 80 : 443;
-        p.bytes = gen.chance(0.5) ? 1500 : 576;
-        out.push_back(p);
-    }
-    return out;
-}
-
-/// Capture + anonymize + spool, deterministic for a given config: every
-/// worker attempt regenerates the identical spool, which is what lets a
+/// Synthesize + spool, deterministic for a given config: every worker
+/// attempt regenerates the identical spool, which is what lets a
 /// restarted worker skip records_in records and land exactly where the
-/// checkpoint left off.
+/// checkpoint left off. The records come from an Abilene network study
+/// (seed 2024): 1-in-100 sampled, 11-bit anonymized, with planted
+/// anomalies, scaled so that each PoP's `packets_per_bin` packets leave
+/// packets_per_bin / 100 sampled records per bin on average.
 std::string build_spool(const daemon_config& cfg, const net::topology& topo,
                         bool verbose) {
-    traffic::rng gen(2024);
-    // One capture per PoP per bin (routers export every 5 minutes); the
-    // Abilene public feed masks the low 11 address bits before anything
-    // leaves the network, so the daemon spools anonymized records.
-    flow::anonymizer anon(11);
     std::ostringstream spool;
     stream::flow_codec_writer writer(spool, {.records_per_frame = 2048});
-    std::uint64_t offered = 0, selected = 0;
-    for (std::size_t bin = 0; bin < cfg.bins; ++bin) {
-        for (int pop = 0; pop < topo.pop_count(); ++pop) {
-            flow::capture_options copts;
-            copts.sampling_rate = 100;
-            copts.ingress_pop = pop;
-            flow::flow_capture capture(copts);
-            capture.add_packets(packets_at_ingress(
-                topo, pop, bin, cfg.packets_per_bin, gen));
-            auto records = capture.flush();
-            anon.apply(records);
-            writer.add(records);
-            offered += capture.packets_offered();
-            selected += capture.packets_selected();
+    if (cfg.bins > 0 && cfg.packets_per_bin > 0) {
+        auto dcfg = diagnosis::dataset_config::abilene(2024, cfg.bins);
+        dcfg.background.mean_records_per_bin =
+            static_cast<double>(cfg.packets_per_bin) /
+            (100.0 * topo.pop_count());
+        const diagnosis::network_study study(dcfg);
+        for (std::size_t bin = 0; bin < cfg.bins; ++bin) {
+            for (int od = 0; od < topo.od_count(); ++od)
+                writer.add(study.cell_records(bin, od));
+            // A bin boundary is a natural frame boundary for the spool.
+            writer.flush_frame();
         }
-        // A bin boundary is a natural frame boundary for the spool.
-        writer.flush_frame();
     }
     writer.finish();
     if (verbose) {
         const auto& ws = writer.stats();
-        std::printf("capture: %" PRIu64 " packets offered, %" PRIu64
-                    " sampled (1-in-100)\n",
-                    offered, selected);
         std::printf("codec spool: %" PRIu64 " records in %" PRIu64
                     " frames, %" PRIu64 " wire "
                     "bytes (%.1f bytes/record vs %zu in-memory)\n\n",
@@ -297,9 +265,15 @@ int run_worker(const daemon_config& cfg, std::size_t attempt) {
         if (cfg.fault_ckpt_fail_rate > 0.0) copts.faults = &ckpt_faults;
         copts.save_timer = timers.checkpoint_write;
         copts.keep_hours = cfg.checkpoint_keep_hours;
-        checkpointer.emplace(pipeline, cfg.checkpoint_dir,
-                             cfg.checkpoint_every, cfg.checkpoint_keep,
-                             copts);
+        try {
+            checkpointer.emplace(pipeline, cfg.checkpoint_dir,
+                                 cfg.checkpoint_every, cfg.checkpoint_keep,
+                                 copts);
+        } catch (const std::invalid_argument& e) {
+            std::fprintf(stderr, "stream_daemon: --checkpoint-keep-hours: "
+                         "%s\n", e.what());
+            return 2;
+        }
         bridge.wire_checkpointer(*checkpointer);
         if (cfg.resume || attempt > 0) {
             const auto report =

@@ -6,12 +6,17 @@ BENCH_core.json keeps the repo's perf trajectory:
   {
     "baseline": {"label": ..., "benchmarks": {name: {...}}},
     "current":  {"label": ..., "benchmarks": {name: {...}}},
-    "speedup_vs_baseline": {name: real_time_baseline / real_time_current}
+    "speedup_vs_baseline": {name: real_time_baseline / real_time_current},
+    "speedup_context_differs": [context keys that differ]
   }
 
 The first run (or a run with --set-baseline) becomes the baseline; later
 runs refresh "current" and the speedup table, so each PR can see how the
-hot paths moved relative to the recorded floor.
+hot paths moved relative to the recorded floor. Each run stamps its
+machine context (num_cpus, library_build_type, kernel_isa,
+repetitions); "speedup_context_differs" lists the context keys on which
+baseline and current disagree, and a warning names them, because a
+ratio across two machines or build types measures the machines too.
 
 Usage:
   scripts/bench_to_json.py --binary build-bench/bench/perf_core \
@@ -270,6 +275,17 @@ def main():
             if cur_ns > 0:
                 speedups[name] = round(base_ns / cur_ns, 3)
     doc["speedup_vs_baseline"] = speedups
+    base_ctx = doc["baseline"].get("context", {})
+    cur_ctx = doc["current"].get("context", {})
+    differs = sorted(k for k in set(base_ctx) | set(cur_ctx)
+                     if base_ctx.get(k) != cur_ctx.get(k))
+    doc["speedup_context_differs"] = differs
+    if differs:
+        sys.stderr.write(
+            "warning: speedup_vs_baseline compares runs whose context "
+            "differs in " + ", ".join(
+                f"{k} ({base_ctx.get(k)} vs {cur_ctx.get(k)})"
+                for k in differs) + "\n")
 
     with open(args.output, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)

@@ -1,7 +1,5 @@
 #include "diagnosis/dataset.h"
 
-#include "traffic/anomaly.h"
-
 namespace tfd::diagnosis {
 
 dataset_config dataset_config::abilene(std::uint64_t seed, std::size_t bins) {
@@ -51,32 +49,8 @@ network_study::network_study(const dataset_config& config)
 
 std::vector<flow::flow_record> network_study::cell_records(std::size_t bin,
                                                            int od) const {
-    // Outages scale down background and remove heavy hitters.
-    traffic::generation_tweaks tweaks;
-    const auto active = schedule_.find(bin, od);
-    for (const auto* a : active) {
-        if (a->type == traffic::anomaly_type::outage) {
-            tweaks.volume_scale = 0.05;
-            tweaks.host_rank_offset = 64;
-        }
-    }
-    auto records = background_->generate(bin, od, tweaks);
-
-    for (const auto* a : active) {
-        if (a->type == traffic::anomaly_type::outage) continue;
-        traffic::anomaly_cell cell;
-        cell.type = a->type;
-        cell.od = od;
-        cell.bin = bin;
-        cell.bin_us = config_.background.bin_us;
-        // Multi-OD anomalies split their intensity across member flows.
-        cell.packets = a->packets_per_second * 300.0 /
-                       static_cast<double>(a->od_flows.size());
-        auto extra = traffic::generate_anomaly_records(
-            *topo_, cell, traffic::rng(config_.seed).derive(0xA40, a->id, od));
-        records.insert(records.end(), extra.begin(), extra.end());
-    }
-
+    auto records = traffic::synthesize_cell(*background_, schedule_,
+                                            config_.seed, bin, od);
     if (config_.anonymize_bits > 0) anonymizer_.apply(records);
     return records;
 }

@@ -51,8 +51,8 @@ public:
     }
     const traffic::scenario& schedule() const noexcept { return schedule_; }
 
-    /// Records for one (bin, od) cell: background plus any planted
-    /// anomalies, with Abilene-style anonymization applied if configured.
+    /// Records for one (bin, od) cell: traffic::synthesize_cell over this
+    /// study's schedule, with Abilene-style anonymization if configured.
     std::vector<flow::flow_record> cell_records(std::size_t bin, int od) const;
 
     /// The cell source bound to this study (safe to copy; refers to this

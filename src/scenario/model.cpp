@@ -246,7 +246,7 @@ scenario_model parse_scenario(const config_file& file) {
 
     for (const config_section* s : file.all("anomaly")) {
         s->require_keys(kAnomalyKeys);
-        anomaly_spec a;
+        traffic::planted_anomaly a;
         const config_entry* type = s->find("type");
         if (!type) fail(s->line, "[anomaly] requires a type");
         a.type = parse_anomaly_label(type->value, type->line);
@@ -254,7 +254,7 @@ scenario_model parse_scenario(const config_file& file) {
             fail(type->line, "anomaly type 'none' plants nothing");
         a.start_bin = s->get_count("start_bin", 0);
         a.duration_bins = s->get_count("duration_bins", 1);
-        a.od = static_cast<int>(s->get_int("od", -1));
+        const auto od = s->get_int("od", -1);
         a.packets_per_second = s->get_number("packets_per_second", 0.0);
         if (a.start_bin >= m.bins)
             fail(line_of(*s, "start_bin"),
@@ -262,13 +262,14 @@ scenario_model parse_scenario(const config_file& file) {
         if (a.duration_bins == 0)
             fail(line_of(*s, "duration_bins"),
                  "anomaly duration_bins must be >= 1");
-        if (a.od < -1 || a.od >= m.od_count())
+        if (od < -1 || od >= m.od_count())
             fail(line_of(*s, "od"), "od out of range for topology " +
                                         m.topology);
+        if (od >= 0) a.od_flows.push_back(static_cast<int>(od));
         if (a.packets_per_second < 0.0)
             fail(line_of(*s, "packets_per_second"),
                  "packets_per_second must be >= 0");
-        m.anomalies.push_back(a);
+        m.anomalies.push_back(std::move(a));
     }
 
     for (const config_section* s : file.all("degradation")) {

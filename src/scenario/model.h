@@ -60,18 +60,6 @@ struct regime_spec {
     }
 };
 
-struct anomaly_spec {
-    traffic::anomaly_type type = traffic::anomaly_type::none;
-    std::size_t start_bin = 0;
-    std::size_t duration_bins = 1;
-    int od = -1;  ///< -1 = drawn deterministically from the scenario seed
-    double packets_per_second = 0.0;  ///< 0 = type's default intensity
-
-    bool active_in(std::size_t bin) const noexcept {
-        return bin >= start_bin && bin < start_bin + duration_bins;
-    }
-};
-
 enum class degradation_kind : int {
     thinning,        ///< keep each record with probability `rate`
     feed_gap,        ///< drop whole bins (the feed goes dark)
@@ -143,7 +131,10 @@ struct scenario_model {
     detector_spec detector{};
     drift_spec drift{};
     std::vector<regime_spec> regimes;
-    std::vector<anomaly_spec> anomalies;
+    /// Planted ground truth in file order. An empty od_flows means the
+    /// OD is drawn from each variant's seed; packets_per_second = 0
+    /// means the type's midpoint intensity (both resolved by the runner).
+    std::vector<traffic::planted_anomaly> anomalies;
     std::vector<degradation_spec> degradations;
     std::vector<topology_event_spec> topology_events;
     std::vector<variant_spec> variants;  ///< never empty after parsing

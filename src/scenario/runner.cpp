@@ -12,21 +12,13 @@
 #include "stream/pipeline.h"
 #include "traffic/background.h"
 #include "traffic/rng.h"
+#include "traffic/scenario.h"
 
 namespace tfd::scenario {
 
 namespace {
 
 constexpr double kPi = 3.14159265358979323846;
-/// Residual background on an OD carrying a planted `outage` anomaly
-/// (the generator emits no records for outage — the dip IS the signal).
-constexpr double kOutageResidual = 0.05;
-
-/// Composed per-(bin, od) generation adjustments.
-struct bin_tweaks {
-    double volume_scale = 1.0;
-    std::size_t host_rank_offset = 0;
-};
 
 double regime_volume(const regime_spec& r, std::size_t bin) {
     switch (r.kind) {
@@ -73,6 +65,27 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t salt,
     return x;
 }
 
+/// The variant's ground truth: the model's anomalies with an OD drawn
+/// from the variant seed where none was declared, and the type's
+/// midpoint intensity where none was given.
+traffic::scenario materialize_truth(const scenario_model& m,
+                                    std::uint64_t seed, int od_count) {
+    std::vector<traffic::planted_anomaly> planted = m.anomalies;
+    for (std::size_t i = 0; i < planted.size(); ++i) {
+        traffic::planted_anomaly& a = planted[i];
+        if (a.od_flows.empty()) {
+            traffic::rng pick(mix_seed(seed, 0xA11, i));
+            a.od_flows.push_back(static_cast<int>(
+                pick.uniform_int(static_cast<std::uint64_t>(od_count))));
+        }
+        if (a.packets_per_second <= 0.0) {
+            const auto [lo, hi] = traffic::default_intensity_range(a.type);
+            a.packets_per_second = 0.5 * (lo + hi);
+        }
+    }
+    return traffic::scenario(std::move(planted));
+}
+
 }  // namespace
 
 experiment_runner::experiment_runner(scenario_model model)
@@ -109,8 +122,8 @@ variant_score experiment_runner::run_one(const variant_spec& variant) {
     bopts.seed = seed;
     bopts.mean_records_per_bin = model_.mean_records_per_bin;
     const traffic::background_model bg(topo, bopts);
-    const std::uint64_t bin_us = bg.options().bin_us;
-    const double bin_seconds = static_cast<double>(bin_us) / 1e6;
+    const traffic::scenario truth =
+        materialize_truth(model_, seed, topo.od_count());
 
     stream::pipeline_options popts;
     popts.online.window = model_.detector.window;
@@ -137,9 +150,6 @@ variant_score experiment_runner::run_one(const variant_spec& variant) {
         ++score.bins_emitted;
         if (!r.verdict.scored) return;
         ++score.bins_scored;
-        bool truth = false;
-        for (const anomaly_spec& a : model_.anomalies)
-            if (a.active_in(r.stats.bin)) truth = true;
         // Scoring counts operator-visible alarms only: a degraded
         // (re-learning) verdict is delivered low-confidence and
         // alert-suppressed, so it pages nobody — it lands in
@@ -147,7 +157,7 @@ variant_score experiment_runner::run_one(const variant_spec& variant) {
         const bool alarmed = r.verdict.anomalous && !r.verdict.degraded;
         if (r.verdict.anomalous && r.verdict.degraded)
             ++score.low_confidence_alarms;
-        if (truth) {
+        if (truth.bin_is_anomalous(r.stats.bin)) {
             ++score.anomaly_bins;
             if (alarmed) ++score.true_detections;
         } else {
@@ -168,18 +178,6 @@ variant_score experiment_runner::run_one(const variant_spec& variant) {
                     r.stats.bin - drift_start + 1;
         }
     });
-
-    // Deterministic OD assignment for anomalies declared with od = -1.
-    std::vector<int> anomaly_od(model_.anomalies.size());
-    for (std::size_t i = 0; i < model_.anomalies.size(); ++i) {
-        if (model_.anomalies[i].od >= 0) {
-            anomaly_od[i] = model_.anomalies[i].od;
-        } else {
-            traffic::rng pick(mix_seed(seed, 0xA11, i));
-            anomaly_od[i] = static_cast<int>(
-                pick.uniform_int(static_cast<std::uint64_t>(topo.od_count())));
-        }
-    }
 
     std::vector<flow::flow_record> carried;  // reorder spillover
     for (std::size_t bin = 0; bin < model_.bins; ++bin) {
@@ -210,7 +208,7 @@ variant_score experiment_runner::run_one(const variant_spec& variant) {
         carried.clear();
 
         for (int od = 0; od < topo.od_count(); ++od) {
-            bin_tweaks t;
+            traffic::generation_tweaks t;
             for (const regime_spec& r : model_.regimes) {
                 if (!r.active_in(bin, model_.bins)) continue;
                 t.volume_scale *= regime_volume(r, bin);
@@ -220,40 +218,9 @@ variant_score experiment_runner::run_one(const variant_spec& variant) {
             for (const topology_event_spec& te : model_.topology_events)
                 if (te.active_in(bin) && (o == te.pop || d == te.pop))
                     t.volume_scale *= te.residual_scale;
-            for (std::size_t i = 0; i < model_.anomalies.size(); ++i)
-                if (model_.anomalies[i].type ==
-                        traffic::anomaly_type::outage &&
-                    model_.anomalies[i].active_in(bin) &&
-                    anomaly_od[i] == od)
-                    t.volume_scale *= kOutageResidual;
-
-            traffic::generation_tweaks gt;
-            gt.volume_scale = t.volume_scale;
-            gt.host_rank_offset = t.host_rank_offset;
-            const auto cell = bg.generate(bin, od, gt);
+            const auto cell =
+                traffic::synthesize_cell(bg, truth, seed, bin, od, t);
             records.insert(records.end(), cell.begin(), cell.end());
-
-            for (std::size_t i = 0; i < model_.anomalies.size(); ++i) {
-                const anomaly_spec& a = model_.anomalies[i];
-                if (!a.active_in(bin) || anomaly_od[i] != od) continue;
-                if (a.type == traffic::anomaly_type::outage) continue;
-                double pps = a.packets_per_second;
-                if (pps <= 0.0) {
-                    const auto [lo, hi] =
-                        traffic::default_intensity_range(a.type);
-                    pps = 0.5 * (lo + hi);
-                }
-                traffic::anomaly_cell cell_spec;
-                cell_spec.type = a.type;
-                cell_spec.od = od;
-                cell_spec.bin = bin;
-                cell_spec.packets = pps * bin_seconds;
-                cell_spec.bin_us = bin_us;
-                const auto an = traffic::generate_anomaly_records(
-                    topo, cell_spec,
-                    traffic::rng(mix_seed(seed, 0xA2, i * 131071 + bin)));
-                records.insert(records.end(), an.begin(), an.end());
-            }
         }
 
         if (thin_keep < 1.0) {

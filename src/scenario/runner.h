@@ -2,9 +2,10 @@
 // campaigns.
 //
 // For each variant of a scenario_model, the runner materializes the
-// scenario's world bin by bin — background under the composed regimes
-// and topology events, planted anomalies from the Table-1 generators,
-// then the degradations the measurement substrate inflicts — streams
+// scenario's world bin by bin — traffic::synthesize_cell over the
+// variant's ground truth (a traffic::scenario) with the composed regime
+// and topology-event tweaks, then the degradations the measurement
+// substrate inflicts — streams
 // it through the real bin-synchronous pipeline (stream/pipeline.h)
 // with the variant's detector policy, and scores the run against the
 // scenario's ground truth:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <optional>
@@ -179,6 +180,18 @@ periodic_checkpointer::periodic_checkpointer(stream_pipeline& pipeline,
     if (every_bins_ == 0)
         throw std::invalid_argument(
             "periodic_checkpointer: every_bins must be >= 1");
+    // Past the file clock's range the age cutoff's cast to ticks wraps
+    // negative, and every older checkpoint would look expired.
+    const double keep_ticks =
+        std::chrono::duration<double, fs::file_time_type::period>(
+            std::chrono::duration<double, std::ratio<3600>>(opts_.keep_hours))
+            .count();
+    if (!std::isfinite(keep_ticks) ||
+        keep_ticks >=
+            static_cast<double>(fs::file_time_type::duration::max().count()))
+        throw std::invalid_argument(
+            "periodic_checkpointer: keep_hours must be finite and within "
+            "the file clock's range");
     // Sequence numbers continue past whatever the directory holds, so a
     // restarted daemon never overwrites the snapshot it restored from.
     const auto existing = list_checkpoints(dir_);  // newest first

@@ -154,7 +154,9 @@ struct checkpoint_written {
 class periodic_checkpointer {
 public:
     /// Throws std::invalid_argument when `every_bins` == 0 (a period
-    /// that never writes would leave a restart nothing to resume from).
+    /// that never writes would leave a restart nothing to resume from)
+    /// or when opts.keep_hours is not finite or exceeds the file clock's
+    /// range (the age cutoff would wrap and expire every checkpoint).
     periodic_checkpointer(stream_pipeline& pipeline, std::string dir,
                           std::size_t every_bins, std::size_t keep_last = 0,
                           checkpoint_options opts = {});

@@ -130,4 +130,38 @@ scenario make_random_scenario(const net::topology& topo,
     return out;
 }
 
+std::vector<flow::flow_record> synthesize_cell(const background_model& bg,
+                                               const scenario& truth,
+                                               std::uint64_t seed,
+                                               std::size_t bin, int od,
+                                               generation_tweaks tweaks) {
+    const auto active = truth.find(bin, od);
+    // An outage suppresses background (and its heavy hitters) instead
+    // of adding records; overlapping outages dip the cell once.
+    if (std::any_of(active.begin(), active.end(), [](const auto* a) {
+            return a->type == anomaly_type::outage;
+        })) {
+        tweaks.volume_scale *= 0.05;
+        tweaks.host_rank_offset += 64;
+    }
+    auto records = bg.generate(bin, od, tweaks);
+
+    const std::uint64_t bin_us = bg.options().bin_us;
+    for (const auto* a : active) {
+        if (a->type == anomaly_type::outage) continue;
+        anomaly_cell cell;
+        cell.type = a->type;
+        cell.od = od;
+        cell.bin = bin;
+        cell.bin_us = bin_us;
+        cell.packets = a->packets_per_second *
+                       (static_cast<double>(bin_us) / 1e6) /
+                       static_cast<double>(a->od_flows.size());
+        auto extra = generate_anomaly_records(
+            bg.topo(), cell, rng(seed).derive(0xA40, a->id, od));
+        records.insert(records.end(), extra.begin(), extra.end());
+    }
+    return records;
+}
+
 }  // namespace tfd::traffic

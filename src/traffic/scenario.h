@@ -5,15 +5,20 @@
 // and intensities. Random scenarios draw types with Table 3-like
 // frequencies and intensities from per-type ranges; the planted list
 // doubles as the label set against which detection and classification
-// results are scored.
+// results are scored. synthesize_cell turns a schedule plus a
+// background model into the records of one (bin, od) cell: it is the
+// one generator behind the network studies, the campaign runner, the
+// stream daemon and the test feeds.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "flow/flow_record.h"
 #include "net/topology.h"
 #include "traffic/anomaly.h"
+#include "traffic/background.h"
 
 namespace tfd::traffic {
 
@@ -66,5 +71,17 @@ private:
 /// the failed PoP for 1-3 bins.
 scenario make_random_scenario(const net::topology& topo,
                               const scenario_options& opts);
+
+/// Records of one (bin, od) cell: background under `tweaks`, dipped
+/// once (x0.05 volume, heavy hitters gone) when a planted outage covers
+/// the cell, plus the records of every other planted anomaly active
+/// there. An anomaly's intensity is split evenly over its OD flows and
+/// spread over the bin; its records are drawn from
+/// rng(seed).derive(0xA40, id, od). Deterministic in every argument.
+std::vector<flow::flow_record> synthesize_cell(const background_model& bg,
+                                               const scenario& truth,
+                                               std::uint64_t seed,
+                                               std::size_t bin, int od,
+                                               generation_tweaks tweaks = {});
 
 }  // namespace tfd::traffic

@@ -1,103 +1,12 @@
-// Unit tests for flow capture and OD aggregation/binning.
+// Unit tests for OD aggregation/binning.
 #include "flow/od_aggregator.h"
 
 #include <gtest/gtest.h>
 
-#include "flow/flow_capture.h"
 #include "net/topology.h"
 
 using namespace tfd::flow;
 using tfd::net::topology;
-
-namespace {
-
-packet make_packet(std::uint64_t t, tfd::net::ipv4 src, tfd::net::ipv4 dst,
-                   std::uint16_t sp, std::uint16_t dp, std::uint32_t bytes) {
-    packet p;
-    p.time_us = t;
-    p.src = src;
-    p.dst = dst;
-    p.src_port = sp;
-    p.dst_port = dp;
-    p.bytes = bytes;
-    return p;
-}
-
-}  // namespace
-
-TEST(FlowCaptureTest, AggregatesSameFlow) {
-    flow_capture cap;
-    const auto src = tfd::net::parse_ipv4("10.0.0.1");
-    const auto dst = tfd::net::parse_ipv4("11.0.0.2");
-    cap.add_packet(make_packet(100, src, dst, 1000, 80, 500));
-    cap.add_packet(make_packet(200, src, dst, 1000, 80, 700));
-    cap.add_packet(make_packet(50, src, dst, 1000, 80, 100));
-    EXPECT_EQ(cap.active_flows(), 1u);
-    auto recs = cap.flush();
-    ASSERT_EQ(recs.size(), 1u);
-    EXPECT_EQ(recs[0].packets, 3u);
-    EXPECT_EQ(recs[0].bytes, 1300u);
-    EXPECT_EQ(recs[0].first_us, 50u);
-    EXPECT_EQ(recs[0].last_us, 200u);
-    EXPECT_TRUE(cap.flush().empty());  // flush clears
-}
-
-TEST(FlowCaptureTest, DistinctTuplesSeparateFlows) {
-    flow_capture cap;
-    const auto src = tfd::net::parse_ipv4("10.0.0.1");
-    const auto dst = tfd::net::parse_ipv4("11.0.0.2");
-    cap.add_packet(make_packet(1, src, dst, 1000, 80, 100));
-    cap.add_packet(make_packet(2, src, dst, 1001, 80, 100));  // diff sport
-    cap.add_packet(make_packet(3, src, dst, 1000, 443, 100)); // diff dport
-    packet p = make_packet(4, src, dst, 1000, 80, 100);
-    p.protocol = 17;                                          // diff proto
-    cap.add_packet(p);
-    EXPECT_EQ(cap.active_flows(), 4u);
-}
-
-TEST(FlowCaptureTest, SamplingReducesRecords) {
-    capture_options opts;
-    opts.sampling_rate = 10;
-    flow_capture cap(opts);
-    const auto src = tfd::net::parse_ipv4("10.0.0.1");
-    // 100 distinct single-packet flows: exactly 10 survive 1-in-10.
-    for (int i = 0; i < 100; ++i)
-        cap.add_packet(make_packet(i, src,
-                                   tfd::net::ipv4{0x0B000000u + i}, 1000, 80,
-                                   100));
-    EXPECT_EQ(cap.packets_offered(), 100u);
-    EXPECT_EQ(cap.packets_selected(), 10u);
-    EXPECT_EQ(cap.flush().size(), 10u);
-}
-
-TEST(FlowCaptureTest, StampsIngressPop) {
-    capture_options opts;
-    opts.ingress_pop = 7;
-    flow_capture cap(opts);
-    cap.add_packet(make_packet(1, tfd::net::parse_ipv4("10.0.0.1"),
-                               tfd::net::parse_ipv4("11.0.0.1"), 1, 2, 3));
-    auto recs = cap.flush();
-    ASSERT_EQ(recs.size(), 1u);
-    EXPECT_EQ(recs[0].ingress_pop, 7);
-}
-
-TEST(FlowCaptureTest, FlushOrderDeterministic) {
-    auto run = []() {
-        flow_capture cap;
-        for (int i = 99; i >= 0; --i)
-            cap.add_packet(make_packet(i, tfd::net::ipv4{100u + i},
-                                       tfd::net::ipv4{200u}, 5, 6, 7));
-        return cap.flush();
-    };
-    auto a = run();
-    auto b = run();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        EXPECT_EQ(a[i].key.src.value, b[i].key.src.value);
-    // Sorted by first_us.
-    for (std::size_t i = 1; i < a.size(); ++i)
-        EXPECT_LE(a[i - 1].first_us, a[i].first_us);
-}
 
 TEST(BinIndexTest, FiveMinuteBins) {
     EXPECT_EQ(bin_index(0), 0u);

@@ -1,14 +1,38 @@
-// Unit tests for the backbone topology model and shortest-path routing.
+// Unit tests for the backbone topology model.
 #include "net/topology.h"
 
 #include <gtest/gtest.h>
 
+#include <queue>
 #include <set>
 #include <stdexcept>
-
-#include "net/routing.h"
+#include <vector>
 
 using namespace tfd::net;
+
+namespace {
+
+/// PoPs reachable from PoP 0 over the topology's links (BFS).
+std::size_t reachable_from_first(const topology& t) {
+    std::vector<bool> seen(static_cast<std::size_t>(t.pop_count()), false);
+    std::queue<int> frontier;
+    seen[0] = true;
+    frontier.push(0);
+    std::size_t count = 1;
+    while (!frontier.empty()) {
+        const int p = frontier.front();
+        frontier.pop();
+        for (const int q : t.adjacency()[static_cast<std::size_t>(p)])
+            if (!seen[static_cast<std::size_t>(q)]) {
+                seen[static_cast<std::size_t>(q)] = true;
+                frontier.push(q);
+                ++count;
+            }
+    }
+    return count;
+}
+
+}  // namespace
 
 TEST(TopologyTest, AbileneHasPaperGeometry) {
     const auto t = topology::abilene();
@@ -104,17 +128,23 @@ TEST(TopologyTest, SyntheticIsDeterministicInPopsAndSeed) {
     EXPECT_FALSE(same);
 }
 
-TEST(RouterTest, SyntheticIsConnectedAcrossTheBand) {
-    // The router constructor rejects disconnected topologies, so routing
-    // every generated backbone proves the spanning-tree guarantee.
+TEST(TopologyTest, SyntheticIsConnectedAcrossTheBand) {
+    // Every generated backbone must be connected (the spanning-tree
+    // guarantee), as the real ones are.
     for (int pops : {2, 16, 50, 100, 150, 180}) {
         const auto t = topology::synthetic(pops, 3);
-        const router r(t);
         EXPECT_GE(t.links().size(),
                   static_cast<std::size_t>(pops) - 1);  // tree at minimum
-        EXPECT_EQ(r.distance(0, t.pop_count() - 1),
-                  r.distance(t.pop_count() - 1, 0));
+        EXPECT_EQ(reachable_from_first(t), static_cast<std::size_t>(pops));
     }
+    for (const auto& t : {topology::abilene(), topology::geant()})
+        EXPECT_EQ(reachable_from_first(t),
+                  static_cast<std::size_t>(t.pop_count()));
+}
+
+TEST(TopologyTest, ReachabilityCountsOnlyLinkedPops) {
+    const topology t("island", {"A", "B", "C"}, {{0, 1}});
+    EXPECT_EQ(reachable_from_first(t), 2u);
 }
 
 TEST(TopologyTest, SyntheticValidation) {
@@ -123,63 +153,4 @@ TEST(TopologyTest, SyntheticValidation) {
     // base_octet + pops must stay inside the /8 space (checked by the
     // base constructor).
     EXPECT_THROW(topology::synthetic(100, 1, 200), std::invalid_argument);
-}
-
-TEST(RouterTest, SelfPathIsSingleton) {
-    const auto t = topology::abilene();
-    const router r(t);
-    EXPECT_EQ(r.distance(3, 3), 0);
-    EXPECT_EQ(r.path(3, 3), std::vector<int>{3});
-    EXPECT_EQ(r.next_hop(3, 3), 3);
-}
-
-TEST(RouterTest, AdjacentPopsAreOneHop) {
-    const auto t = topology::abilene();
-    const router r(t);
-    const auto& l = t.links().front();
-    EXPECT_EQ(r.distance(l.a, l.b), 1);
-    EXPECT_EQ(r.next_hop(l.a, l.b), l.b);
-}
-
-TEST(RouterTest, PathsAreSymmetricInLength) {
-    const auto t = topology::geant();
-    const router r(t);
-    for (int a = 0; a < t.pop_count(); ++a)
-        for (int b = 0; b < t.pop_count(); ++b)
-            EXPECT_EQ(r.distance(a, b), r.distance(b, a));
-}
-
-TEST(RouterTest, PathEndpointsAndContiguity) {
-    const auto t = topology::abilene();
-    const router r(t);
-    for (int a = 0; a < t.pop_count(); ++a)
-        for (int b = 0; b < t.pop_count(); ++b) {
-            const auto p = r.path(a, b);
-            ASSERT_FALSE(p.empty());
-            EXPECT_EQ(p.front(), a);
-            EXPECT_EQ(p.back(), b);
-            EXPECT_EQ(static_cast<int>(p.size()) - 1, r.distance(a, b));
-        }
-}
-
-TEST(RouterTest, TriangleInequality) {
-    const auto t = topology::geant();
-    const router r(t);
-    for (int a = 0; a < t.pop_count(); ++a)
-        for (int b = 0; b < t.pop_count(); ++b)
-            for (int c : {0, 4, 20})
-                EXPECT_LE(r.distance(a, b),
-                          r.distance(a, c) + r.distance(c, b));
-}
-
-TEST(RouterTest, DisconnectedTopologyRejected) {
-    topology t("island", {"A", "B", "C"}, {{0, 1}});
-    EXPECT_THROW(router{t}, std::invalid_argument);
-}
-
-TEST(RouterTest, OutOfRangeThrows) {
-    const auto t = topology::abilene();
-    const router r(t);
-    EXPECT_THROW(r.distance(0, 99), std::out_of_range);
-    EXPECT_THROW(r.path(-1, 0), std::out_of_range);
 }

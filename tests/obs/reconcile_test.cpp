@@ -31,10 +31,12 @@
 #include "stream/checkpoint.h"
 #include "stream/flow_codec.h"
 #include "stream/pipeline.h"
+#include "support/feeds.h"
 #include "traffic/background.h"
 
 using namespace tfd;
 using namespace tfd::stream;
+using namespace tfd::test;
 
 namespace {
 
@@ -42,37 +44,6 @@ namespace fs = std::filesystem;
 
 constexpr std::size_t kBins = 12;
 constexpr double kBitRate = 4e-6;
-
-core::online_options small_online() {
-    core::online_options o;
-    o.window = 8;
-    o.warmup = 4;
-    o.refit_interval = 2;
-    o.subspace.normal_dims = 2;
-    return o;
-}
-
-/// All ODs' background records for one bin.
-std::vector<flow::flow_record> gen_bin(const traffic::background_model& bg,
-                                       std::size_t bin) {
-    std::vector<flow::flow_record> records;
-    for (int od = 0; od < bg.topo().od_count(); ++od) {
-        const auto cell = bg.generate(bin, od);
-        records.insert(records.end(), cell.begin(), cell.end());
-    }
-    return records;
-}
-
-std::string build_spool(const traffic::background_model& bg) {
-    std::ostringstream os;
-    flow_codec_writer writer(os);
-    for (std::size_t bin = 0; bin < kBins; ++bin) {
-        writer.add(gen_bin(bg, bin));
-        writer.flush_frame();
-    }
-    writer.finish();
-    return os.str();
-}
 
 /// A seed whose bit flips quarantine at least one frame (with records)
 /// without blowing the reader's error budget.
@@ -175,12 +146,12 @@ TEST(ObsReconcile, ReorderLateDropsGapAndResetReconcileExactly) {
         p.push(records);
         pushed += records.size();
     };
-    const auto push_bin = [&](std::size_t b) { push(gen_bin(bg, b)); };
+    const auto push_bin = [&](std::size_t b) { push(bin_records(bg, b)); };
 
     // Bins 0..4 in order, then stragglers for bin 3 (held open by the
     // reorder window) land behind the cursor.
     for (std::size_t b = 0; b <= 4; ++b) push_bin(b);
-    const auto stragglers = gen_bin(bg, 3);
+    const auto stragglers = bin_records(bg, 3);
     push(stragglers);
 
     // Bins 5, 6, then a gap at 7 (emitted as an empty bin), then 8..11.
@@ -189,13 +160,13 @@ TEST(ObsReconcile, ReorderLateDropsGapAndResetReconcileExactly) {
     for (std::size_t b = 8; b <= 11; ++b) push_bin(b);
 
     // Late records: bin 0 closed long ago, far outside the window.
-    const auto late = gen_bin(bg, 0);
+    const auto late = bin_records(bg, 0);
     push(late);
 
     // Resolver drops: one record with no ingress PoP stamped, one with a
     // destination outside every PoP prefix.
-    std::vector<flow::flow_record> bad = {gen_bin(bg, 11)[0],
-                                          gen_bin(bg, 11)[1]};
+    std::vector<flow::flow_record> bad = {bin_records(bg, 11)[0],
+                                          bin_records(bg, 11)[1]};
     bad[0].ingress_pop = -1;                    // unknown_ingress
     bad[1].key.dst = net::ipv4{0xFA000001u};    // 250.0.0.1: unresolvable
     push(bad);
@@ -297,7 +268,7 @@ TEST(ObsReconcile, ReorderLateDropsGapAndResetReconcileExactly) {
 TEST(ObsReconcile, QuarantinedRunReconcilesEventDeltas) {
     const auto topo = net::topology::abilene();
     const traffic::background_model bg(topo);
-    const std::string spool = build_spool(bg);
+    const std::string spool = build_spool(bg, kBins);
     const std::uint64_t seed = probe_corruption_seed(spool);
 
     pipeline_options opts;
@@ -379,7 +350,7 @@ TEST(ObsReconcile, QuarantinedRunReconcilesEventDeltas) {
 TEST(ObsReconcile, ResumeContinuesSequenceAndReconcilesDeltas) {
     const auto topo = net::topology::abilene();
     const traffic::background_model bg(topo);
-    const std::string spool = build_spool(bg);
+    const std::string spool = build_spool(bg, kBins);
 
     pipeline_options opts;
     opts.shards = 2;

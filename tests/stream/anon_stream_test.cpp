@@ -12,32 +12,14 @@
 #include "flow/anonymizer.h"
 #include "net/topology.h"
 #include "stream/pipeline.h"
+#include "support/feeds.h"
 #include "traffic/background.h"
 
 using namespace tfd;
 using namespace tfd::stream;
+using namespace tfd::test;
 
 namespace {
-
-core::online_options small_online() {
-    core::online_options o;
-    o.window = 8;
-    o.warmup = 4;
-    o.refit_interval = 2;
-    o.subspace.normal_dims = 2;
-    return o;
-}
-
-std::vector<flow::flow_record> make_stream(const traffic::background_model& bg,
-                                           std::size_t bins) {
-    std::vector<flow::flow_record> out;
-    for (std::size_t bin = 0; bin < bins; ++bin)
-        for (int od = 0; od < bg.topo().od_count(); ++od) {
-            const auto cell = bg.generate(bin, od);
-            out.insert(out.end(), cell.begin(), cell.end());
-        }
-    return out;
-}
 
 struct run_output {
     std::vector<std::array<std::vector<double>, flow::feature_count>> entropy;

@@ -22,10 +22,12 @@
 #include "stream/checkpoint.h"
 #include "stream/flow_codec.h"
 #include "stream/pipeline.h"
+#include "support/feeds.h"
 #include "traffic/background.h"
 
 using namespace tfd;
 using namespace tfd::stream;
+using namespace tfd::test;
 
 namespace {
 
@@ -34,40 +36,6 @@ namespace fs = std::filesystem;
 constexpr std::size_t kBins = 12;
 constexpr double kBitRate = 4e-6;       // ~0.5 expected flips per spool
 constexpr double kCkptFailRate = 0.15;  // per checkpoint-write attempt
-
-core::online_options small_online() {
-    core::online_options o;
-    o.window = 8;
-    o.warmup = 4;
-    o.refit_interval = 2;
-    o.subspace.normal_dims = 2;
-    return o;
-}
-
-pipeline_options make_opts(std::size_t shards) {
-    pipeline_options opts;
-    opts.shards = shards;
-    opts.online = small_online();
-    return opts;
-}
-
-/// Spool with one codec frame per bin — the daemon's natural framing —
-/// so a corrupt frame maps to exactly one bin of lost records.
-std::string build_spool(const traffic::background_model& bg) {
-    std::ostringstream os;
-    flow_codec_writer writer(os);
-    for (std::size_t bin = 0; bin < kBins; ++bin) {
-        std::vector<flow::flow_record> records;
-        for (int od = 0; od < bg.topo().od_count(); ++od) {
-            const auto cell = bg.generate(bin, od);
-            records.insert(records.end(), cell.begin(), cell.end());
-        }
-        writer.add(records);
-        writer.flush_frame();
-    }
-    writer.finish();
-    return os.str();
-}
 
 /// Decode `spool` through a seeded degraded feed under quarantine.
 /// Returns the surviving records in order, plus the reader's stats.
@@ -192,7 +160,7 @@ TEST_P(ChaosTest, SupervisedRecoveryUnderSeededFaultsIsBitExact) {
     const std::size_t shards = GetParam();
     const auto topo = net::topology::abilene();
     const traffic::background_model bg(topo);
-    const std::string spool = build_spool(bg);
+    const std::string spool = build_spool(bg, kBins);
     const auto opts = make_opts(shards);
 
     // Fault-free reference: the whole spool, no faults, no restarts.
@@ -359,7 +327,7 @@ TEST_P(ChaosTest, FailFastDefaultAbortsAfterByteIdenticalPrefix) {
     const std::size_t shards = GetParam();
     const auto topo = net::topology::abilene();
     const traffic::background_model bg(topo);
-    const std::string spool = build_spool(bg);
+    const std::string spool = build_spool(bg, kBins);
     const auto opts = make_opts(shards);
 
     std::vector<flow::flow_record> clean_records;

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,41 +18,16 @@
 #include "net/topology.h"
 #include "stream/checkpoint.h"
 #include "stream/pipeline.h"
+#include "support/feeds.h"
 #include "traffic/background.h"
 
 using namespace tfd;
 using namespace tfd::stream;
+using namespace tfd::test;
 
 namespace {
 
 namespace fs = std::filesystem;
-
-core::online_options small_online() {
-    core::online_options o;
-    o.window = 8;
-    o.warmup = 4;
-    o.refit_interval = 2;
-    o.subspace.normal_dims = 2;
-    return o;
-}
-
-pipeline_options make_opts(std::size_t shards) {
-    pipeline_options opts;
-    opts.shards = shards;
-    opts.online = small_online();
-    return opts;
-}
-
-std::vector<flow::flow_record> make_stream(const traffic::background_model& bg,
-                                           std::size_t bins) {
-    std::vector<flow::flow_record> out;
-    for (std::size_t bin = 0; bin < bins; ++bin)
-        for (int od = 0; od < bg.topo().od_count(); ++od) {
-            const auto cell = bg.generate(bin, od);
-            out.insert(out.end(), cell.begin(), cell.end());
-        }
-    return out;
-}
 
 struct temp_dir {
     fs::path path;
@@ -283,14 +259,7 @@ TEST(CheckpointHardeningTest, AgeBasedRetentionExpiresOldCheckpoints) {
                                copts);
     p.on_bin([&](const bin_result&) { ckpt.on_bin_emitted(); });
 
-    auto push_bin = [&](std::size_t bin) {
-        std::vector<flow::flow_record> records;
-        for (int od = 0; od < topo.od_count(); ++od) {
-            const auto cell = bg.generate(bin, od);
-            records.insert(records.end(), cell.begin(), cell.end());
-        }
-        p.push(records);
-    };
+    auto push_bin = [&](std::size_t bin) { p.push(bin_records(bg, bin)); };
 
     // Bins 0..6 emit 6 bins: checkpoints 0, 1, 2 land.
     for (std::size_t bin = 0; bin < 7; ++bin) push_bin(bin);
@@ -334,4 +303,24 @@ TEST(CheckpointHardeningTest, ZeroPeriodIsRejected) {
     const temp_dir dir("zero_period");
     EXPECT_THROW(periodic_checkpointer(p, dir.path.string(), 0),
                  std::invalid_argument);
+}
+
+TEST(CheckpointHardeningTest, UnrepresentableKeepHoursIsRejected) {
+    // Past the file clock's range the age cutoff would wrap negative and
+    // every older checkpoint would look expired on the next save.
+    const auto topo = net::topology::abilene();
+    stream_pipeline p(topo, make_opts(1));
+    const temp_dir dir("keep_hours");
+    for (const double hours : {std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN(),
+                               1e300, 3e6}) {
+        checkpoint_options copts;
+        copts.keep_hours = hours;
+        EXPECT_THROW(periodic_checkpointer(p, dir.path.string(), 1, 0, copts),
+                     std::invalid_argument)
+            << hours;
+    }
+    checkpoint_options copts;
+    copts.keep_hours = 2e6;  // ~228 years: representable, accepted
+    EXPECT_NO_THROW(periodic_checkpointer(p, dir.path.string(), 1, 0, copts));
 }

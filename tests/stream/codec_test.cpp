@@ -6,6 +6,7 @@
 
 #include <sstream>
 
+#include "support/feeds.h"
 #include "traffic/background.h"
 #include "traffic/rng.h"
 
@@ -118,11 +119,7 @@ TEST(FlowCodecTest, DeltaVarintPackingBeatsRawStructs) {
     // in-memory footprint.
     const auto topo = net::topology::abilene();
     const traffic::background_model bg(topo);
-    std::vector<flow::flow_record> records;
-    for (int od = 0; od < topo.od_count(); ++od) {
-        auto cell = bg.generate(3, od);
-        records.insert(records.end(), cell.begin(), cell.end());
-    }
+    const auto records = test::bin_records(bg, 3);
     const auto bytes = encode_records(records);
     EXPECT_LT(bytes.size(), records.size() * sizeof(flow::flow_record) / 2);
 }

@@ -13,35 +13,14 @@
 
 #include "core/histogram.h"
 #include "net/topology.h"
+#include "support/feeds.h"
 #include "traffic/background.h"
 
 using namespace tfd;
 using namespace tfd::stream;
+using namespace tfd::test;
 
 namespace {
-
-core::online_options small_online() {
-    core::online_options o;
-    o.window = 8;
-    o.warmup = 4;
-    o.refit_interval = 2;
-    o.subspace.normal_dims = 2;
-    return o;
-}
-
-// A multi-bin synthetic Abilene stream in bin-major, OD-minor order
-// (each cell's records appear in generation order, the order the batch
-// path feeds them).
-std::vector<flow::flow_record> make_stream(const traffic::background_model& bg,
-                                           std::size_t bins) {
-    std::vector<flow::flow_record> out;
-    for (std::size_t bin = 0; bin < bins; ++bin)
-        for (int od = 0; od < bg.topo().od_count(); ++od) {
-            const auto cell = bg.generate(bin, od);
-            out.insert(out.end(), cell.begin(), cell.end());
-        }
-    return out;
-}
 
 // The single-threaded reference: resolve + bin with the same resolver,
 // accumulate per cell in stream order, score with a fresh detector.

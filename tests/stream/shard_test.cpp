@@ -6,6 +6,7 @@
 
 #include "core/histogram.h"
 #include "net/topology.h"
+#include "support/feeds.h"
 #include "traffic/background.h"
 
 using namespace tfd;
@@ -24,8 +25,7 @@ labelled_stream bin_stream(const traffic::background_model& bg,
                            std::size_t bin) {
     labelled_stream s;
     for (int od = 0; od < bg.topo().od_count(); ++od) {
-        const auto cell = bg.generate(bin, od);
-        for (const auto& r : cell) {
+        for (const auto& r : test::cell_records(bg, bin, od)) {
             s.records.push_back(r);
             s.ods.push_back(od);
         }
@@ -52,7 +52,7 @@ TEST(OdShardSetTest, BitIdenticalToSingleThreadedForShardCounts124) {
             // Single-threaded reference, cell by cell.
             for (int od = 0; od < topo.od_count(); ++od) {
                 core::feature_histogram_set ref;
-                ref.add_records(bg.generate(bin, od));
+                ref.add_records(test::cell_records(bg, bin, od));
                 const auto h = ref.entropies();
                 for (int f = 0; f < flow::feature_count; ++f) {
                     // Bit-identical, not approximately equal.

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "net/topology.h"
+#include "support/feeds.h"
 #include "traffic/background.h"
 
 using namespace tfd;
@@ -45,12 +46,7 @@ core::online_options soak_online() {
 
 void push_bin(stream_pipeline& pipeline, const traffic::background_model& bg,
               std::size_t bin, const traffic::generation_tweaks& tweaks) {
-    std::vector<flow::flow_record> records;
-    for (int od = 0; od < bg.topo().od_count(); ++od) {
-        const auto cell = bg.generate(bin, od, tweaks);
-        records.insert(records.end(), cell.begin(), cell.end());
-    }
-    pipeline.push(records);
+    pipeline.push(test::bin_records(bg, bin, tweaks));
 }
 
 }  // namespace
